@@ -46,7 +46,7 @@ func main() {
 		noConsol  = flag.Bool("no-consolidate", false, "disable same-type NF consolidation (Eq. 25 memory)")
 		timeLimit = flag.Duration("time-limit", 60*time.Second, "IP solver time limit")
 		seed      = flag.Int64("seed", 1, "randomized-rounding seed")
-		solverW   = flag.Int("solver-workers", 1, "solver workers: branch-and-bound for ip, concurrent recirculation trials for appro (0 = GOMAXPROCS; 1 = serial reference; same result for a fixed seed at any count)")
+		solverW   = flag.Int("solver-workers", 1, "solver workers: branch-and-bound for ip, concurrent recirculation trials for appro (0 = GOMAXPROCS; 1 = serial reference; any count finds the same optimum, the argmax may differ)")
 		stateDir  = flag.String("state-dir", "", "durable-controller mode: journal every transition to this directory; recover+reconcile on start if it holds prior state")
 	)
 	flag.Parse()

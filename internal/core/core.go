@@ -71,7 +71,8 @@ type Options struct {
 	// SolverWorkers sets the control-plane solver worker count:
 	// branch-and-bound workers for exact IP solves and replans, pricing
 	// workers for decomposed full solves. 0 or 1 is the serial
-	// deterministic reference; results are identical at any count.
+	// deterministic reference; any count proves the same optimum, but
+	// when optima tie the parallel search may return a different argmax.
 	SolverWorkers int
 	// DecomposeAbove routes full solves (Provision with AlgoIP and
 	// ReconfigureIfStale's re-optimization) to the Lagrangian decomposition

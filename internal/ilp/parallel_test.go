@@ -3,7 +3,10 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"sfp/internal/lp"
 )
@@ -150,5 +153,53 @@ func TestParallelNodeLimitReturnsIncumbent(t *testing.T) {
 	}
 	if res.Bound < res.Objective-1e-6 {
 		t.Fatalf("bound %v below incumbent %v", res.Bound, res.Objective)
+	}
+}
+
+// TestParallelHeuristicWindowOnOneCPU pins the heuristic window of the
+// parallel engine: a worker runs Options.Heuristic with the lock released,
+// and its node must stay visible as in flight meanwhile. Otherwise a peer
+// that pops the next node sees a frontier without it, and can stop at the
+// node limit with a bound below the true optimum, certify a false optimum,
+// or find the tree exhausted before the node's children are pushed. The
+// heuristic sleeps so peers run inside the window even on one CPU; it skips
+// the root, where every peer would still be idle.
+func TestParallelHeuristicWindowOnOneCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 8 + rng.Intn(8)
+		values := make([]float64, n)
+		weights := make([]float64, n)
+		for i := range values {
+			values[i] = 1 + 9*rng.Float64()
+			weights[i] = 1 + 9*rng.Float64()
+		}
+		capacity := sum(weights) / (1.5 + 2*rng.Float64())
+		want := bruteKnapsack(values, weights, capacity)
+		for _, workers := range []int{2, 4} {
+			for maxNodes := 0; maxNodes <= 12; maxNodes++ { // 0 = unlimited
+				var calls atomic.Int32
+				heuristic := func([]float64) []float64 {
+					if calls.Add(1) > 1 {
+						time.Sleep(20 * time.Microsecond)
+					}
+					return nil
+				}
+				res, err := Solve(knapsack(values, weights, capacity),
+					Options{Workers: workers, Heuristic: heuristic, MaxNodes: maxNodes})
+				if err != nil {
+					t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+				}
+				if res.Bound < want-1e-6 {
+					t.Fatalf("seed %d workers %d maxNodes %d: bound %v below the optimum %v",
+						seed, workers, maxNodes, res.Bound, want)
+				}
+				if (res.Status == Optimal || maxNodes == 0) && math.Abs(res.Objective-want) > 1e-6 {
+					t.Fatalf("seed %d workers %d maxNodes %d: %v objective %v, brute force %v",
+						seed, workers, maxNodes, res.Status, res.Objective, want)
+				}
+			}
+		}
 	}
 }

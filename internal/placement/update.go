@@ -281,7 +281,8 @@ type ReplanOptions struct {
 	// SolverWorkers sets the worker count for the embedded solves:
 	// branch-and-bound workers on the IP paths, pricing workers on
 	// MaybeReconfigure's decomposed path. 0 or 1 is the serial
-	// deterministic reference; results are identical at any count.
+	// deterministic reference; any count proves the same optimum, but
+	// when optima tie the parallel search may return a different argmax.
 	SolverWorkers int
 	// DecomposeAbove routes MaybeReconfigure's full re-optimization to the
 	// Lagrangian decomposition (SolveDecomposed) once the total chain count
