@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"sfp/internal/nf"
 	"sfp/internal/packet"
@@ -216,93 +214,5 @@ func Fig5Workers(packetsPerSize, workers int) (*Table, error) {
 		fmt.Sprintf("means: sfp=%.0fns sfp-recir=%.0fns dpdk=%.0fns (paper: 341 / ≈376 / 1151)",
 			sfpSum/n, recirSum/n, dpdkSum/n),
 		"recirculation adds ≈35ns for 3 extra passes; latency tracks applied NFs, not passes")
-	return t, nil
-}
-
-// scalingSwitch builds the 2-NF (firewall → classifier) switch used by the
-// scaling sweep. Unlike fig45Switch's chain, neither NF mutates packet
-// headers (the router decrements TTL, the LB rewrites the destination), so
-// the same pre-generated workload can be replayed repeatedly with identical
-// per-packet behavior — a requirement for timing repeated replays.
-func scalingSwitch() (*vswitch.VSwitch, error) {
-	v := vswitch.New(pipeline.New(pipeline.DefaultConfig()))
-	if _, err := v.InstallPhysicalNF(0, nf.Firewall, 1000); err != nil {
-		return nil, err
-	}
-	if _, err := v.InstallPhysicalNF(1, nf.TrafficClassifier, 1000); err != nil {
-		return nil, err
-	}
-	sfc := &vswitch.SFC{
-		Tenant:        7,
-		BandwidthGbps: 100,
-		NFs: []*nf.Config{
-			{Type: nf.Firewall, Rules: []nf.ConfigRule{{
-				Matches: []pipeline.Match{pipeline.Wildcard(), pipeline.Wildcard(), pipeline.Wildcard(), pipeline.Wildcard()},
-				Action:  "permit",
-			}}},
-			{Type: nf.TrafficClassifier, Rules: []nf.ConfigRule{{
-				Matches: []pipeline.Match{pipeline.Wildcard(), pipeline.Between(0, 65535)},
-				Action:  "set_class", Params: []uint64{2},
-			}}},
-		},
-	}
-	if _, err := v.Allocate(sfc); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
-
-// DataplaneScaling measures replay throughput against engine worker count:
-// the pps-vs-workers curve behind BENCH_dataplane.json, as an experiment
-// table. Each worker count replays the same pre-generated workload through
-// the batched compiled path (one switch clone per worker); the best of
-// three timed replays is reported. packets <= 0 selects a default sized for
-// interactive runs; workersList nil selects {1, 2, 4, 8}.
-func DataplaneScaling(packets int, workersList []int) (*Table, error) {
-	if packets <= 0 {
-		packets = 1 << 17
-	}
-	if len(workersList) == 0 {
-		workersList = []int{1, 2, 4, 8}
-	}
-	rng := rand.New(rand.NewSource(12))
-	gen := traffic.NewFlowGen(rng, 7, fig45VIP, 64)
-	items := traffic.GenItems(gen, packets, 128, 1000)
-
-	t := &Table{
-		Title:   "Data-plane scaling: replay throughput vs engine workers (2-NF chain, 128B)",
-		Columns: []string{"workers", "mpps", "speedup_vs_1"},
-	}
-	var base float64
-	for _, workers := range workersList {
-		eng := traffic.Engine{
-			Workers: workers,
-			New:     func(int) (traffic.Processor, error) { return scalingSwitch() },
-		}
-		// Warm the pool (processor construction, chunk buffers) off-clock.
-		if _, err := eng.Replay(items); err != nil {
-			eng.Close()
-			return nil, err
-		}
-		best := 0.0
-		for rep := 0; rep < 3; rep++ {
-			start := time.Now()
-			if _, err := eng.Replay(items); err != nil {
-				eng.Close()
-				return nil, err
-			}
-			if pps := float64(packets) / time.Since(start).Seconds(); pps > best {
-				best = pps
-			}
-		}
-		eng.Close()
-		if base == 0 {
-			base = best
-		}
-		t.Rows = append(t.Rows, []float64{float64(workers), best / 1e6, best / base})
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("%d packets per replay, best of 3 timed replays per point, %d CPU(s)", packets, runtime.NumCPU()),
-		"scaling requires real cores: on a 1-CPU host the curve is flat by construction")
 	return t, nil
 }

@@ -1,7 +1,8 @@
 package experiments
 
-// Online lifecycle churn: the extension experiment behind the 100k-tenant
-// steady-state gate (BENCH_lifecycle.json). A seeded churn engine holds a
+// Online lifecycle churn, an extension experiment beyond the paper's
+// evaluation (the 100k-tenant run is BenchmarkLifecycleChurn100k in
+// internal/lifecycle). A seeded churn engine holds a
 // live-tenant population against a single switch and sweeps the offered
 // load: below load 1 the switch admits essentially everything the latency
 // SLOs allow; past the knee the backplane saturates and the acceptance

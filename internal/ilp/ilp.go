@@ -110,8 +110,10 @@ type Options struct {
 	// optimal basis (cross-replan warm start: successive replans of a
 	// retained problem differ only by bound pins, RHS give-backs, and
 	// appended blocks, so the previous optimum re-enters via dual simplex).
-	// It applies at depth 0 only — deeper nodes keep the presolve+cold path
-	// (see WarmNodeLP for why). A basis whose shape does not match the
+	// It applies at depth 0 only: deeper nodes keep the presolve+cold path,
+	// which measured faster than a full-size dual re-solve from the parent
+	// basis and keeps the node order independent of which optimal vertex a
+	// degenerate LP lands on. A basis whose shape does not match the
 	// problem is ignored and the root solves cold, deterministically.
 	WarmBasis *lp.Basis
 	// BoundCap, when positive, is an externally certified upper bound on
@@ -123,13 +125,6 @@ type Options struct {
 	// invalid (too small) cap yields a correspondingly weaker optimality
 	// claim, so callers must only pass proven bounds.
 	BoundCap float64
-	// WarmNodeLP warm-starts each node LP from its parent's optimal basis
-	// (dual simplex over the full problem). Off by default for two measured
-	// reasons: node presolve shrinks child LPs (whose fixed variables
-	// multiply at depth) more than a full-size dual re-solve saves, and
-	// warm solves can land on a different optimal vertex of a degenerate
-	// LP, perturbing the node order away from the pinned serial trace.
-	WarmNodeLP bool
 }
 
 func (o Options) withDefaults() Options {
@@ -187,9 +182,6 @@ type node struct {
 	changes []boundChange
 	bound   float64 // parent LP bound (optimistic estimate)
 	depth   int
-	// warm is the parent node's optimal basis (shared read-only between
-	// siblings); the node LP dual-simplex warm-starts from it.
-	warm *lp.Basis
 }
 
 // nodeHeap is a max-heap on bound with depth-first tie-breaking (deeper
@@ -341,9 +333,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			q.SetBounds(ch.v, ch.lo, ch.hi)
 		}
 		lpOpts := opts.LPOpts
-		if opts.WarmNodeLP {
-			lpOpts.WarmBasis = nd.warm
-		}
 		if nd.depth == 0 && opts.WarmBasis != nil {
 			lpOpts.WarmBasis = opts.WarmBasis
 		}
@@ -478,12 +467,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 
 		v := sol.X[branchVar]
 		lo, hi := q.Bounds(branchVar)
-		var childWarm *lp.Basis
-		if opts.WarmNodeLP {
-			childWarm = sol.Basis // shared by both children, read-only
-		}
-		down := &node{changes: append(append([]boundChange{}, nd.changes...), boundChange{branchVar, lo, math.Floor(v)}), bound: sol.Objective, depth: nd.depth + 1, warm: childWarm}
-		up := &node{changes: append(append([]boundChange{}, nd.changes...), boundChange{branchVar, math.Ceil(v), hi}), bound: sol.Objective, depth: nd.depth + 1, warm: childWarm}
+		down := &node{changes: append(append([]boundChange{}, nd.changes...), boundChange{branchVar, lo, math.Floor(v)}), bound: sol.Objective, depth: nd.depth + 1}
+		up := &node{changes: append(append([]boundChange{}, nd.changes...), boundChange{branchVar, math.Ceil(v), hi}), bound: sol.Objective, depth: nd.depth + 1}
 		if bestX == nil {
 			// Dive up-first for binary-like variables: forcing a selection
 			// to 1 collapses its at-most-one row and drives the LP toward

@@ -160,7 +160,7 @@ func TestGenDeterminism(t *testing.T) {
 	}
 }
 
-// BenchmarkLifecycleChurn100k is the headline gate: fill to 100k live
+// BenchmarkLifecycleChurn100k is the headline run: fill to 100k live
 // tenants on a durable (group-commit journal) controller and sustain
 // continuous churn at Load 1. Metrics: live population at end, mean
 // population error, p99 arrival-batch latency, acceptance ratio.

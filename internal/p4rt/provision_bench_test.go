@@ -1,9 +1,7 @@
 package p4rt
 
-// Provisioning fast-path benchmark (scripts/check.sh bench): arrivals/sec
-// through the southbound API over real loopback TCP, per-op serial vs
-// batched + pipelined. The batched path must beat serial by >= 3x
-// (BENCH_provision.json gate).
+// Provisioning fast-path benchmark: arrivals/sec through the southbound
+// API over real loopback TCP, per-op serial vs batched + pipelined.
 
 import (
 	"testing"

@@ -1,9 +1,8 @@
 package pipeline
 
-// Compiled-path micro-benchmarks backing BENCH_dataplane.json (scripts/
-// check.sh bench). The gate requires the compiled single-packet path to
-// report 0 allocs/op and to be no slower than the interpreter baseline
-// (BenchmarkProcess / BenchmarkProcessCtx in fastpath_bench_test.go).
+// Compiled-path micro-benchmarks, to compare against the interpreter
+// (BenchmarkProcess / BenchmarkProcessCtx in fastpath_bench_test.go). The
+// zero-allocation property is a test: TestCompiledProcessZeroAlloc.
 
 import "testing"
 

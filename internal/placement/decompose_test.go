@@ -252,31 +252,38 @@ func TestMaybeReconfigureDecomposedPath(t *testing.T) {
 	}
 }
 
-// TestDecomposedGapQuality is a coarse regression net on bound quality on
-// a contended 200-chain instance. Non-consolidated pricing is exact per
-// box (whole blocks vs B), so the dual converges tight; the consolidated
-// mode prices the Σ rules ≤ B·E surrogate, which ignores up to
-// NumTypes−1 part-filled blocks of waste per stage, so its certified gap
-// is structurally looser — the threshold reflects that. (The bench gate in
-// scripts/check.sh holds the 3% line at 1k chains on the non-consolidated
-// build; this test just catches a broken subgradient.)
+// TestDecomposedGapQuality is a regression net on bound quality. On the
+// contended 200-chain instance it is coarse: non-consolidated pricing is
+// exact per box (whole blocks vs B), so the dual converges tight; the
+// consolidated mode prices the Σ rules ≤ B·E surrogate, which ignores up
+// to NumTypes−1 part-filled blocks of waste per stage, so its certified gap
+// is structurally looser — the threshold reflects that. The 1000-chain case
+// is the BenchmarkFullSolveDecomp1k instance and holds the 3% line on the
+// non-consolidated build. The gap is a function of the seed alone, not of
+// the host, and every placement is re-verified.
 func TestDecomposedGapQuality(t *testing.T) {
 	for _, tc := range []struct {
-		cons   bool
-		maxGap float64
+		seed      int64
+		L, recirc int
+		cons      bool
+		maxGap    float64
 	}{
-		{false, 0.05},
-		{true, 0.20},
+		{3, 200, 1, false, 0.05},
+		{3, 200, 1, true, 0.20},
+		{fullSolveSeed, 1000, 0, false, 0.03},
 	} {
-		in := contendedInstance(3, 200, 1)
+		in := contendedInstance(tc.seed, tc.L, tc.recirc)
 		res, err := SolveDecomposed(in, DecomposeOptions{Build: model.BuildOptions{Consolidate: tc.cons}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Gap > tc.maxGap {
-			t.Errorf("cons=%v: certified gap %.2f%% above %.0f%%", tc.cons, 100*res.Gap, 100*tc.maxGap)
+		if err := model.Verify(in, res.Assignment, tc.cons); err != nil {
+			t.Errorf("L=%d cons=%v: placement infeasible: %v", tc.L, tc.cons, err)
 		}
-		t.Log(fmt.Sprintf("cons=%v: obj=%.1f bound=%.1f gap=%.2f%% iters=%d elapsed=%v",
-			tc.cons, res.Objective, res.Bound, 100*res.Gap, res.DualIters, res.Elapsed))
+		if res.Gap > tc.maxGap {
+			t.Errorf("L=%d cons=%v: certified gap %.2f%% above %.0f%%", tc.L, tc.cons, 100*res.Gap, 100*tc.maxGap)
+		}
+		t.Log(fmt.Sprintf("L=%d cons=%v: obj=%.1f bound=%.1f gap=%.2f%% iters=%d elapsed=%v",
+			tc.L, tc.cons, res.Objective, res.Bound, 100*res.Gap, res.DualIters, res.Elapsed))
 	}
 }

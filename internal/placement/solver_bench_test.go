@@ -8,9 +8,8 @@ import (
 	"sfp/internal/traffic"
 )
 
-// Solver benchmarks at the Fig-8 experiment scale (§VI-C): these are the
-// workloads BENCH_solver.json tracks across the control-plane fast path.
-// Run via scripts/check.sh bench.
+// Solver benchmarks at the Fig-8 experiment scale (§VI-C), for the
+// control-plane fast path: go test -bench 'Solve' ./internal/placement.
 
 func fig8Instance(seed int64, L int) *model.Instance {
 	rng := rand.New(rand.NewSource(seed))
@@ -111,16 +110,15 @@ func benchReplan(b *testing.B, n int, full bool) {
 	}
 }
 
-// BenchmarkReplanDelta* are the BENCH_replan.json workloads: incremental
-// replans whose cost must scale with the waiting set, not the live-tenant
-// count (the 10k/1k ratio is gated at 10x in scripts/check.sh).
+// BenchmarkReplanDelta* time incremental replans, whose cost should scale
+// with the waiting set, not the live-tenant count.
 func BenchmarkReplanDelta1k(b *testing.B)  { benchReplan(b, 1000, false) }
 func BenchmarkReplanDelta4k(b *testing.B)  { benchReplan(b, 4000, false) }
 func BenchmarkReplanDelta10k(b *testing.B) { benchReplan(b, 10000, false) }
 
 // BenchmarkReplanFull* run the same cycles through the full-rebuild
-// reference path, for the delta-vs-full speedup gate. No 10k variant: the
-// full path at that scale is exactly the cost this PR removes.
+// reference path, to compare with the delta path. No 10k variant: the full
+// path at that scale is exactly the cost the delta path avoids.
 func BenchmarkReplanFull1k(b *testing.B) { benchReplan(b, 1000, true) }
 func BenchmarkReplanFull4k(b *testing.B) { benchReplan(b, 4000, true) }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // TestReplayAllocFlat asserts the fix for the parallel-replay allocation
-// regression (BENCH_fastpath.json showed allocs/op growing 103 → 803 from
-// workers=1 to workers=8): with the persistent worker pool, steady-state
-// Replay performs no per-call allocation at any worker count.
+// regression (allocs/op grew 103 → 803 from workers=1 to workers=8): with
+// the persistent worker pool, steady-state Replay performs no per-call
+// allocation at any worker count.
 func TestReplayAllocFlat(t *testing.T) {
 	items := genWorkload(13, 512)
 	got := map[int]float64{}

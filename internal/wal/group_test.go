@@ -380,10 +380,10 @@ func TestGroupCommitTornTail(t *testing.T) {
 	}
 }
 
-// benchCommits drives 8 concurrent committers through b.N total commits.
-func benchCommits(b *testing.B, opts Options) {
-	dir := b.TempDir()
-	l, _, err := OpenOptions(dir, opts)
+// BenchmarkCommitGroup8 drives 8 concurrent committers through b.N total
+// commits: concurrent commits coalesce into shared fsyncs.
+func BenchmarkCommitGroup8(b *testing.B) {
+	l, _, err := Open(b.TempDir())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -398,17 +398,4 @@ func benchCommits(b *testing.B, opts Options) {
 			}
 		}
 	})
-}
-
-// BenchmarkCommitSingleton8 is the baseline: every commit pays its own
-// fsync, serialized under the log mutex.
-func BenchmarkCommitSingleton8(b *testing.B) {
-	benchCommits(b, Options{SingletonCommit: true})
-}
-
-// BenchmarkCommitGroup8 is the group committer: concurrent commits
-// coalesce into shared fsyncs. The accumulation window trades a bounded
-// per-commit delay for much deeper batches.
-func BenchmarkCommitGroup8(b *testing.B) {
-	benchCommits(b, Options{})
 }

@@ -82,10 +82,6 @@ type Recovery struct {
 
 // Options tunes a Log opened with OpenOptions.
 type Options struct {
-	// SingletonCommit disables the background fsyncer: every Commit
-	// performs its own write+fsync under the log mutex. This is the
-	// pre-group-commit behavior, kept as the benchmark baseline.
-	SingletonCommit bool
 	// GroupWindow, when > 0, is how long the fsyncer waits after waking
 	// to accumulate more batches before the single sync. It bounds the
 	// extra latency any Commit pays for batching. 0 means sync
@@ -135,9 +131,9 @@ type Log struct {
 }
 
 // Open opens (creating if needed) the journal in dir with default options
-// (group commit enabled) and replays whatever previous state it holds. The
-// returned Log appends to the recovered generation's journal; the Recovery
-// carries the replayable state.
+// and replays whatever previous state it holds. The returned Log appends to
+// the recovered generation's journal; the Recovery carries the replayable
+// state.
 func Open(dir string) (*Log, *Recovery, error) {
 	return OpenOptions(dir, Options{})
 }
@@ -167,10 +163,8 @@ func OpenOptions(dir string, opts Options) (*Log, *Recovery, error) {
 	l := &Log{dir: dir, dirf: dirf, opts: opts, f: f, gen: rec.Gen}
 	l.work = sync.NewCond(&l.mu)
 	l.done = sync.NewCond(&l.mu)
-	if !opts.SingletonCommit {
-		l.syncerDone = make(chan struct{})
-		go l.syncer()
-	}
+	l.syncerDone = make(chan struct{})
+	go l.syncer()
 	return l, rec, nil
 }
 
@@ -361,9 +355,6 @@ func (l *Log) commitLocked() error {
 	if l.synced >= seq {
 		return nil
 	}
-	if l.opts.SingletonCommit {
-		return l.flushLocked()
-	}
 	l.work.Signal()
 	for l.err == nil && l.synced < seq && !l.closing {
 		l.done.Wait()
@@ -374,34 +365,6 @@ func (l *Log) commitLocked() error {
 	if l.synced < seq {
 		return errClosed
 	}
-	return nil
-}
-
-// flushLocked writes and fsyncs all pending batches while holding the log
-// mutex. Singleton-commit mode only.
-func (l *Log) flushLocked() error {
-	buf := l.pending
-	l.pending = nil
-	seq := l.queued
-	if len(buf) == 0 {
-		return nil
-	}
-	_, werr := l.f.Write(buf)
-	if werr == nil {
-		werr = l.f.Sync()
-	}
-	if werr != nil {
-		if l.err == nil {
-			l.err = fmt.Errorf("wal: %w", werr)
-		}
-		l.done.Broadcast()
-		return l.err
-	}
-	l.synced = seq
-	if l.marking {
-		l.tail = append(l.tail, buf...)
-	}
-	l.done.Broadcast()
 	return nil
 }
 
@@ -542,16 +505,9 @@ func (l *Log) Rotate(snapshot []byte) error {
 		l.staged = l.staged[:0]
 		l.queued++
 	}
-	if l.opts.SingletonCommit {
-		if err := l.flushLocked(); err != nil {
-			l.mu.Unlock()
-			return err
-		}
-	} else {
-		l.work.Signal()
-		for l.err == nil && !l.closing && (len(l.pending) > 0 || l.inflight) {
-			l.done.Wait()
-		}
+	l.work.Signal()
+	for l.err == nil && !l.closing && (len(l.pending) > 0 || l.inflight) {
+		l.done.Wait()
 	}
 	if l.err != nil {
 		err := l.err
@@ -668,26 +624,17 @@ func (l *Log) Close() error {
 		l.staged = l.staged[:0]
 		l.queued++
 	}
-	var err error
-	if l.opts.SingletonCommit {
-		if l.err == nil {
-			l.flushLocked()
-		}
-		err = l.err
-		l.closing = true
-	} else {
-		l.work.Signal()
-		for l.err == nil && (len(l.pending) > 0 || l.inflight) {
-			l.done.Wait()
-		}
-		err = l.err
-		l.closing = true
-		l.work.Broadcast()
-		l.done.Broadcast()
-		l.mu.Unlock()
-		<-l.syncerDone
-		l.mu.Lock()
+	l.work.Signal()
+	for l.err == nil && (len(l.pending) > 0 || l.inflight) {
+		l.done.Wait()
 	}
+	err := l.err
+	l.closing = true
+	l.work.Broadcast()
+	l.done.Broadcast()
+	l.mu.Unlock()
+	<-l.syncerDone
+	l.mu.Lock()
 	f := l.f
 	l.f = nil
 	l.mu.Unlock()
