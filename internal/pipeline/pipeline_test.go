@@ -146,6 +146,17 @@ func TestDeleteTenant(t *testing.T) {
 	if r := tbl.Apply(&Context{}, p); r == nil {
 		t.Error("tenant-2 rule lost after DeleteTenant(1)")
 	}
+	// A rule object is installed at most once; deleting it frees it for
+	// reinsertion.
+	r := &Rule{Matches: []Match{Eq(3), Eq(9)}, Action: "fwd", Params: []uint64{1}, Tenant: 3}
+	mustInsert(t, tbl, r)
+	if err := tbl.Insert(r); err == nil {
+		t.Error("an installed rule was inserted again")
+	}
+	if freed := tbl.DeleteTenants(map[uint32]bool{2: true, 3: true}); freed != 4 || tbl.Used() != 0 {
+		t.Errorf("freed = %d, used = %d; want 4, 0", freed, tbl.Used())
+	}
+	mustInsert(t, tbl, r)
 }
 
 func TestStageBlockAccounting(t *testing.T) {

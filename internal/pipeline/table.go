@@ -47,7 +47,14 @@ type Rule struct {
 	// path skips the per-packet action-map lookup. Insert validates the
 	// action name, so fn is always set for installed rules.
 	fn ActionFunc
+	// nextOwned chains the rules one tenant owns in a table: the next one,
+	// or endOfOwned after the last. It is nil exactly while the rule is not
+	// installed.
+	nextOwned *Rule
 }
+
+// endOfOwned terminates every per-tenant rule chain.
+var endOfOwned = &Rule{}
 
 // Table is a match-action table resident in one stage.
 //
@@ -69,9 +76,11 @@ type Table struct {
 	DefaultParams []uint64
 
 	actions map[string]ActionFunc
-	// rules holds every installed entry in insertion order (the canonical
-	// list used by Used, DeleteTenant, and capacity accounting).
-	rules []*Rule
+	// owned heads each tenant's chain of installed rules (linked through
+	// Rule.nextOwned), so a departure visits only the departing tenant's
+	// rules; used counts every installed entry (capacity accounting, Used).
+	owned map[uint32]*Rule
+	used  int
 	// scan is the priority-ordered view scanned by generic (non-sharded)
 	// ternary/LPM/range lookups, kept sorted on Insert.
 	scan []*Rule
@@ -228,8 +237,11 @@ func (t *Table) Insert(r *Rule) error {
 	if !ok {
 		return fmt.Errorf("table %s: unknown action %q", t.Name, r.Action)
 	}
+	if r.nextOwned != nil {
+		return fmt.Errorf("table %s: rule already installed", t.Name)
+	}
 	r.fn = fn
-	if len(t.rules) >= t.Capacity {
+	if t.used >= t.Capacity {
 		return fmt.Errorf("table %s: capacity %d exhausted", t.Name, t.Capacity)
 	}
 	switch {
@@ -253,7 +265,15 @@ func (t *Table) Insert(r *Rule) error {
 	default:
 		t.scan = insertOrdered(t.scan, r)
 	}
-	t.rules = append(t.rules, r)
+	if t.owned == nil {
+		t.owned = make(map[uint32]*Rule)
+	}
+	r.nextOwned = endOfOwned
+	if head := t.owned[r.Tenant]; head != nil {
+		r.nextOwned = head
+	}
+	t.owned[r.Tenant] = r
+	t.used++
 	return nil
 }
 
@@ -269,35 +289,29 @@ func exactValuesEqual(a, b *Rule) bool {
 }
 
 // DeleteTenant removes every rule owned by the tenant and returns how many
-// entries were freed. Only the departing tenant's index entries are touched
-// — the other tenants' shards and exact buckets are left untouched, so churn
-// cost is proportional to the departing tenant's rules, not the table size.
+// entries were freed. Only the departing tenant's rules and index entries
+// are visited, so churn cost is proportional to the departing tenant's
+// rules, not the table size.
 func (t *Table) DeleteTenant(tenant uint32) int {
-	return t.deleteWhere(func(r *Rule) bool { return r.Tenant == tenant })
+	return t.unindexTenant(tenant)
 }
 
 // DeleteTenants removes every rule owned by any tenant in the set and
-// returns how many entries were freed. A batch of departures costs one
-// pass over the table's rules instead of one per departing tenant.
+// returns how many entries were freed, visiting only those tenants' rules.
 func (t *Table) DeleteTenants(tenants map[uint32]bool) int {
-	if len(tenants) == 0 {
-		return 0
+	freed := 0
+	for tenant := range tenants {
+		freed += t.unindexTenant(tenant)
 	}
-	return t.deleteWhere(func(r *Rule) bool { return tenants[r.Tenant] })
+	return freed
 }
 
-// deleteWhere removes every rule matching the predicate in one pass,
-// unindexing each removed rule. Only the removed rules' index entries are
-// touched — the other tenants' shards and exact buckets are left alone.
-func (t *Table) deleteWhere(match func(*Rule) bool) int {
-	kept := t.rules[:0]
+// unindexTenant removes one tenant's rules from the owner index and the
+// lookup structures. The other tenants' shards and exact buckets are left
+// alone, and the relative order of the surviving rules is unchanged.
+func (t *Table) unindexTenant(tenant uint32) int {
 	freed := 0
-	for _, r := range t.rules {
-		if !match(r) {
-			kept = append(kept, r)
-			continue
-		}
-		freed++
+	for r := t.owned[tenant]; r != nil && r != endOfOwned; {
 		switch {
 		case t.allExact:
 			h := t.ruleExactHash(r)
@@ -316,17 +330,18 @@ func (t *Table) deleteWhere(match func(*Rule) bool) int {
 		default:
 			t.scan = removeRule(t.scan, r)
 		}
+		next := r.nextOwned
+		r.nextOwned = nil
+		r = next
+		freed++
 	}
-	// Clear the tail so freed rules are collectable.
-	for i := len(kept); i < len(t.rules); i++ {
-		t.rules[i] = nil
-	}
-	t.rules = kept
+	delete(t.owned, tenant)
+	t.used -= freed
 	return freed
 }
 
 // Used returns the number of installed entries.
-func (t *Table) Used() int { return len(t.rules) }
+func (t *Table) Used() int { return t.used }
 
 // RuleWidthBits returns the total match-key width of one entry — the
 // constant b in the placement model's memory equation.
