@@ -144,6 +144,14 @@ type Controller struct {
 	sfcs map[uint32]*vswitch.SFC
 	// placed tracks tenants currently installed in the data plane.
 	placed map[uint32]bool
+	// unrealized holds the tenants live in the planner but not placed: a
+	// replan's admissions until their install succeeds, and any chain a
+	// failed install left stranded.
+	unrealized map[uint32]bool
+	// need is ruleNeed over the placed tenants, patched on every install
+	// and departure, so an install sizes physical NFs without a pass over
+	// every chain.
+	need needLedger
 	// lastInfo describes the most recent Provision solve.
 	lastInfo ProvisionInfo
 
@@ -175,10 +183,12 @@ func (c *Controller) hook(point string) {
 func New(opts Options) *Controller {
 	opts = opts.withDefaults()
 	return &Controller{
-		opts:   opts,
-		v:      vswitch.New(pipeline.New(opts.Pipeline)),
-		sfcs:   make(map[uint32]*vswitch.SFC),
-		placed: make(map[uint32]bool),
+		opts:       opts,
+		v:          vswitch.New(pipeline.New(opts.Pipeline)),
+		sfcs:       make(map[uint32]*vswitch.SFC),
+		placed:     make(map[uint32]bool),
+		unrealized: make(map[uint32]bool),
+		need:       newNeedLedger(opts.Pipeline.Stages),
 	}
 }
 
@@ -308,8 +318,9 @@ func (c *Controller) solve(in *model.Instance) (*placement.Result, ProvisionInfo
 func (c *Controller) LastProvision() ProvisionInfo { return c.lastInfo }
 
 // LastReplan reports how the most recent incremental replan executed
-// (fast-path vs. full rebuild, warm start, admissions, solve time). Zero
-// value before the first replan or when the controller runs AlgoGreedy.
+// (fast-path vs. full rebuild, warm start, admissions, solve time; a
+// greedy replan reports only admissions, tried chains, rebuilds and time).
+// Zero value before the first replan.
 func (c *Controller) LastReplan() placement.ReplanStats {
 	if c.updater == nil {
 		return placement.ReplanStats{}
@@ -356,7 +367,7 @@ func (c *Controller) Provision(sfcs []*vswitch.SFC) (model.Metrics, error) {
 		}
 	}
 	c.hook("provision:journaled")
-	journal, err := c.install("provision", in, res.Assignment, byTenant)
+	journal, err := c.install("provision", res.Assignment.X, deployedChains(in, res.Assignment), byTenant)
 	if err != nil {
 		c.abort(recProvisionAbort)
 		return model.Metrics{}, err
@@ -399,20 +410,20 @@ func (c *Controller) abort(kind byte) {
 	}
 }
 
-// install realizes an assignment on the (empty or partially filled) data
-// plane: physical NFs sized to their assigned rules, then tenant rules.
+// install realizes planner-deployed chains on the (empty or partially
+// filled) data plane: the layout's physical NFs sized to their assigned
+// rules, then the pending chains' tenant rules.
 // It is transactional: the full rule plan is staged first, each step is
 // journaled as it applies, and any step failure rolls back this install's
 // already-applied steps (tenant rules, newly created physical NFs) so the
 // data plane is never left half-configured. Failures surface as
 // *PartialFailureError. On success the journal is returned so the caller
 // can extend the transaction (e.g. roll back if a later step fails).
-// byTenant maps tenant ID to chain definition for every tenant the
-// assignment may deploy (extra entries are harmless — already-placed
-// tenants are skipped).
-func (c *Controller) install(op string, in *model.Instance, a *model.Assignment, byTenant map[uint32]*vswitch.SFC) (*installJournal, error) {
-	journal := &installJournal{}
-	if err := c.apply(in, a, byTenant, journal); err != nil {
+// byTenant maps tenant ID to chain definition for every pending tenant
+// (extra entries are harmless — already-placed tenants are skipped).
+func (c *Controller) install(op string, layout [][]bool, pending []pendingChain, byTenant map[uint32]*vswitch.SFC) (*installJournal, error) {
+	journal := &installJournal{need: newNeedLedger(c.opts.Pipeline.Stages)}
+	if err := c.apply(layout, pending, byTenant, journal); err != nil {
 		pf := c.partialFailure(op, err, journal)
 		c.logf("core: %v", pf)
 		return nil, pf
@@ -420,50 +431,88 @@ func (c *Controller) install(op string, in *model.Instance, a *model.Assignment,
 	return journal, nil
 }
 
-// ruleNeed computes the rule capacity demanded per (type, stage) cell by
-// every deployed chain: the NF rule counts, the per-pass REC catch-alls
-// carried by tail NFs, and the steering catch-alls for tail-less passes
-// that live in the chain's first NF table (see vswitch.AllocateAt).
-func ruleNeed(in *model.Instance, a *model.Assignment) map[[2]int]int {
-	S := in.Switch.Stages
-	need := map[[2]int]int{}
+// pendingChain is one planner-deployed chain to realize on the switch.
+type pendingChain struct {
+	ch     *model.Chain
+	stages []int
+}
+
+// deployedChains lists an assignment's deployed chains in instance order.
+func deployedChains(in *model.Instance, a *model.Assignment) []pendingChain {
+	var out []pendingChain
 	for l, ch := range in.Chains {
-		if !a.Deployed(l) {
-			continue
+		if a.Deployed(l) {
+			out = append(out, pendingChain{ch: ch, stages: a.Stages[l]})
 		}
-		hasTail := map[int]bool{}
-		for j, k := range a.Stages[l] {
-			need[[2]int{ch.NFs[j].Type, k % S}] += ch.NFs[j].Rules
-			// The tail NF of a non-final pass also carries the tenant's
-			// catch-all REC rule (one extra entry).
-			if j+1 < len(a.Stages[l]) && a.Stages[l][j+1]/S > k/S {
-				need[[2]int{ch.NFs[j].Type, k % S}]++
-				hasTail[k/S] = true
-			}
+	}
+	return out
+}
+
+// needLedger is the rule capacity demanded per (type, stage) cell by a set
+// of deployed chains, dense over the NF types and the stages.
+type needLedger struct {
+	stages int
+	cells  []int // [(type-1)*stages + stage]
+}
+
+func newNeedLedger(stages int) needLedger {
+	return needLedger{stages: stages, cells: make([]int, nf.TypeCount*stages)}
+}
+
+// at is the demand on the cell of NF type typ (1-based) on stage s.
+func (n needLedger) at(typ, s int) int { return n.cells[(typ-1)*n.stages+s] }
+
+// add counts (sign 1) or uncounts (sign -1) one chain: its NF rule counts,
+// the per-pass REC catch-alls carried by tail NFs, and the steering
+// catch-alls for tail-less passes that live in the chain's first NF table
+// (see vswitch.AllocateAt).
+func (n needLedger) add(ch *model.Chain, stages []int, sign int) {
+	S := n.stages
+	cell := func(j int) *int { return &n.cells[(ch.NFs[j].Type-1)*S+stages[j]%S] }
+	withBoxes, prev := 0, -1
+	for j, k := range stages {
+		*cell(j) += sign * ch.NFs[j].Rules
+		// The tail NF of a non-final pass also carries the tenant's
+		// catch-all REC rule (one extra entry).
+		if j+1 < len(stages) && stages[j+1]/S > k/S {
+			*cell(j) += sign
 		}
-		first := [2]int{ch.NFs[0].Type, a.Stages[l][0] % S}
-		for p := 0; p < a.Passes(l, S)-1; p++ {
-			if !hasTail[p] {
-				need[first]++
-			}
+		if k/S != prev {
+			withBoxes, prev = withBoxes+1, k/S
 		}
+	}
+	// Every non-final pass that holds a box has a tail; each pass without
+	// one is steered by a catch-all in the first NF's table.
+	*cell(0) += sign * (stages[len(stages)-1]/S + 1 - withBoxes)
+}
+
+// ruleNeed computes the rule capacity demanded per (type, stage) cell by
+// every deployed chain of an assignment.
+func ruleNeed(in *model.Instance, a *model.Assignment) needLedger {
+	need := newNeedLedger(in.Switch.Stages)
+	for _, p := range deployedChains(in, a) {
+		need.add(p.ch, p.stages, 1)
 	}
 	return need
 }
 
 // apply performs the install steps, recording each in the journal.
-func (c *Controller) apply(in *model.Instance, a *model.Assignment, byTenant map[uint32]*vswitch.SFC, journal *installJournal) error {
-	S := in.Switch.Stages
-	E := in.Switch.EntriesPerBlock
-	need := ruleNeed(in, a)
+func (c *Controller) apply(layout [][]bool, pending []pendingChain, byTenant map[uint32]*vswitch.SFC, journal *installJournal) error {
+	S := c.opts.Pipeline.Stages
+	E := c.opts.Pipeline.EntriesPerBlock
+	// Size physical NFs for the placed chains plus the pending ones.
+	more := newNeedLedger(S)
+	for _, p := range pending {
+		more.add(p.ch, p.stages, 1)
+	}
 	// Install or grow physical NFs. Block-align capacities so the reserved
 	// memory matches the model's accounting.
-	for i := 1; i <= in.NumTypes; i++ {
+	for i := 1; i <= len(layout); i++ {
 		for s := 0; s < S; s++ {
-			if !a.X[i-1][s] {
+			if !layout[i-1][s] {
 				continue
 			}
-			capacity := need[[2]int{i, s}]
+			capacity := c.need.at(i, s) + more.at(i, s)
 			if capacity > 0 {
 				capacity = (capacity + E - 1) / E * E
 			}
@@ -490,25 +539,24 @@ func (c *Controller) apply(in *model.Instance, a *model.Assignment, byTenant map
 	// failure rolls its partial application back internally; the tenants
 	// it undid are recorded in the journal so the PartialFailureError
 	// reports them as rolled back.
-	items := make([]vswitch.BatchItem, 0, len(in.Chains))
-	for l, ch := range in.Chains {
-		if !a.Deployed(l) {
-			continue
-		}
-		sfc, ok := byTenant[uint32(ch.ID)]
+	items := make([]vswitch.BatchItem, 0, len(pending))
+	batched := make([]pendingChain, 0, len(pending))
+	for _, p := range pending {
+		sfc, ok := byTenant[uint32(p.ch.ID)]
 		if !ok || c.placed[sfc.Tenant] {
 			continue
 		}
-		placements := make([]vswitch.Placement, len(a.Stages[l]))
-		for j, k := range a.Stages[l] {
+		placements := make([]vswitch.Placement, len(p.stages))
+		for j, k := range p.stages {
 			placements[j] = vswitch.Placement{
 				NFIndex: j,
-				Type:    nf.Type(ch.NFs[j].Type),
+				Type:    nf.Type(p.ch.NFs[j].Type),
 				Stage:   k % S,
 				Pass:    k / S,
 			}
 		}
 		items = append(items, vswitch.BatchItem{SFC: sfc, Placements: placements})
+		batched = append(batched, p)
 	}
 	if len(items) == 0 {
 		return nil
@@ -522,11 +570,42 @@ func (c *Controller) apply(in *model.Instance, a *model.Assignment, byTenant map
 		}
 		return err
 	}
-	for _, al := range allocs {
+	for i, al := range allocs {
+		p := batched[i]
 		c.placed[al.Tenant] = true
+		delete(c.unrealized, al.Tenant)
+		c.need.add(p.ch, p.stages, 1)
+		journal.need.add(p.ch, p.stages, 1)
 		journal.tenants = append(journal.tenants, al.Tenant)
 	}
 	return nil
+}
+
+// unplace forgets a departed tenant's placement: it leaves the placed set
+// and its rule demand leaves the need ledger.
+func (c *Controller) unplace(tenant uint32, ch *model.Chain, stages []int) {
+	delete(c.placed, tenant)
+	c.need.add(ch, stages, -1)
+}
+
+// resync recomputes unrealized and need from the planner and the placed
+// set, wherever the placed set is rebuilt wholesale.
+func (c *Controller) resync() {
+	c.unrealized = make(map[uint32]bool)
+	c.need = newNeedLedger(c.opts.Pipeline.Stages)
+	if c.updater == nil {
+		return
+	}
+	for t := range c.sfcs {
+		ch, stages, live := c.updater.Placement(int(t))
+		switch {
+		case !live:
+		case c.placed[t]:
+			c.need.add(ch, stages, 1)
+		default:
+			c.unrealized[t] = true
+		}
+	}
 }
 
 // Depart removes a tenant from both planes. Like every other mutating
@@ -547,6 +626,7 @@ func (c *Controller) Depart(tenant uint32) error {
 	}
 	c.hook("depart:journaled")
 	if placed {
+		ch, stages, _ := c.updater.Placement(int(tenant))
 		// Capture the undo state before touching the switch: Deallocate
 		// frees the rules, so the restore must come from a copy.
 		undo := c.v.Allocations(tenant)
@@ -566,11 +646,12 @@ func (c *Controller) Depart(tenant uint32) error {
 			c.abort(recDepartAbort)
 			return err
 		}
-		delete(c.placed, tenant)
+		c.unplace(tenant, ch, stages)
 	} else {
 		// A waiting tenant has no rules, but the planner still knows it:
 		// withdraw it so future replans stop considering a ghost.
 		c.updater.Withdraw(int(tenant))
+		delete(c.unrealized, tenant)
 	}
 	delete(c.sfcs, tenant)
 	c.hook("depart:precommit")
@@ -636,12 +717,15 @@ func (c *Controller) DepartMany(tenants []uint32) error {
 	for i, e := range entries {
 		var perr error
 		if e.Placed {
-			perr = c.updater.Depart(int(e.Tenant))
+			ch, stages, _ := c.updater.Placement(int(e.Tenant))
+			if perr = c.updater.Depart(int(e.Tenant)); perr == nil {
+				c.unplace(e.Tenant, ch, stages)
+			}
 		} else {
 			c.updater.Withdraw(int(e.Tenant))
+			delete(c.unrealized, e.Tenant)
 		}
 		if perr == nil {
-			delete(c.placed, e.Tenant)
 			delete(c.sfcs, e.Tenant)
 			continue
 		}
@@ -760,11 +844,8 @@ func (c *Controller) Replan() ([]uint32, error) {
 	if c.updater == nil {
 		return nil, fmt.Errorf("core: not provisioned")
 	}
-	if c.updater.Waiting() == 0 {
-		in, a, _ := c.updater.Current()
-		if len(deployedEntries(in, a, c.placed)) == 0 {
-			return nil, nil
-		}
+	if c.updater.Waiting() == 0 && len(c.unrealized) == 0 {
+		return nil, nil
 	}
 	return c.place(nil)
 }
@@ -783,16 +864,26 @@ func (c *Controller) place(batch []*vswitch.SFC) ([]uint32, error) {
 		}
 		return nil, err
 	}
-	in, a, _ := c.updater.Current()
+	for _, id := range c.updater.Admitted() {
+		c.unrealized[uint32(id)] = true
+	}
 	// The delta is every deployed chain not yet realized on the switch —
 	// the replan's admissions plus any chain a previous failed install
 	// left stranded.
-	delta := deployedEntries(in, a, c.placed)
-	if err := c.journalCommit(recPlaceBegin, &placeRec{Live: delta, Layout: cloneLayout(a.X)}); err != nil {
+	tenants := sortedKeys(c.unrealized)
+	delta := make([]liveEntry, 0, len(tenants))
+	pending := make([]pendingChain, 0, len(tenants))
+	for _, t := range tenants {
+		ch, stages, _ := c.updater.Placement(int(t))
+		delta = append(delta, liveEntry{Tenant: t, Stages: stages})
+		pending = append(pending, pendingChain{ch: ch, stages: stages})
+	}
+	layout := c.updater.Layout()
+	if err := c.journalCommit(recPlaceBegin, &placeRec{Live: delta, Layout: layout}); err != nil {
 		return nil, err
 	}
 	c.hook("place:journaled")
-	if _, err := c.install("arrive", in, a, c.sfcs); err != nil {
+	if _, err := c.install("arrive", layout, pending, c.sfcs); err != nil {
 		// The data plane was rolled back by install; erase the batch from
 		// the planner and the registry so the controller forgets it.
 		// Chains the replan admitted beyond the batch stay live in the
@@ -801,6 +892,7 @@ func (c *Controller) place(batch []*vswitch.SFC) ([]uint32, error) {
 		for _, s := range batch {
 			c.updater.Withdraw(int(s.Tenant))
 			delete(c.sfcs, s.Tenant)
+			delete(c.unrealized, s.Tenant)
 			withdrawn = append(withdrawn, s.Tenant)
 		}
 		if jerr := c.journalCommit(recPlaceAbort, &abortRec{Tenants: withdrawn}); jerr != nil {
@@ -883,10 +975,12 @@ func (c *Controller) ReconfigureIfStale(threshold float64) (bool, error) {
 	if err != nil || !did {
 		return false, err
 	}
+	// The planner's live set changed wholesale.
+	c.resync()
 	// The planner has adopted the new global plan; journal it in full
 	// before wiping the data plane, so a crash mid-rebuild recovers the
 	// adopted plan with an empty placed set and Reconcile re-realizes it.
-	if err := c.journalCommit(recReconfigBegin, c.stateRecNow()); err != nil {
+	if err := c.journalCommit(recReconfigBegin, c.captureState()); err != nil {
 		return true, err
 	}
 	c.hook("reconfig:journaled")
@@ -894,8 +988,9 @@ func (c *Controller) ReconfigureIfStale(threshold float64) (bool, error) {
 	// placements (the disruptive path the paper warns costs a reboot).
 	c.v = vswitch.New(pipeline.New(c.opts.Pipeline))
 	c.placed = make(map[uint32]bool)
+	c.resync()
 	in, a, _ := c.updater.Current()
-	if _, err := c.install("reconfigure", in, a, c.sfcs); err != nil {
+	if _, err := c.install("reconfigure", a.X, deployedChains(in, a), c.sfcs); err != nil {
 		c.abort(recReconfigAbort)
 		return true, err
 	}

@@ -60,12 +60,16 @@ type installJournal struct {
 	// and already rolled back itself; they are reported as rolled back but
 	// need no further Deallocate.
 	undone []uint32
+	// need is the rule demand the tenants added to the controller's need
+	// ledger.
+	need needLedger
 }
 
 // rollback undoes a journal in reverse order: tenant rules first (so the
 // newly created physical tables drain), then the new physical NFs. It is
 // best-effort — a step that cannot be undone is skipped — and reports
-// what was actually removed.
+// what was actually removed. Rolled-back tenants the planner holds live
+// become unrealized again.
 func (c *Controller) rollback(j *installJournal) (tenants []uint32, removed []StagedNF) {
 	for i := len(j.tenants) - 1; i >= 0; i-- {
 		t := j.tenants[i]
@@ -73,6 +77,12 @@ func (c *Controller) rollback(j *installJournal) (tenants []uint32, removed []St
 			tenants = append(tenants, t)
 		}
 		delete(c.placed, t)
+		if c.updater != nil {
+			c.unrealized[t] = true
+		}
+	}
+	for i, n := range j.need.cells {
+		c.need.cells[i] -= n
 	}
 	// Tenants the batch layer already undid: report them (reverse order,
 	// matching the undo order) without touching the data plane again.

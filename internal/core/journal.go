@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"sfp/internal/p4rt"
+	"sfp/internal/vswitch"
 )
 
 // The controller's durability protocol: every mutating transition writes
@@ -100,6 +103,11 @@ func encodeRec(kind byte, payload any) ([]byte, error) {
 	if payload == nil {
 		return b, nil
 	}
+	if v, ok := payload.(*stateView); ok {
+		var buf bytes.Buffer
+		err := v.writeRec(&buf, kind)
+		return buf.Bytes(), err
+	}
 	body, err := json.Marshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("core: journal encode: %w", err)
@@ -161,9 +169,9 @@ func txnBoundary(kind byte) bool {
 }
 
 // maybeSnapshot rotates the journal onto a fresh snapshot once enough
-// records accumulated. The state view is captured synchronously (cheap
-// copies, no serialization) together with a wal.Mark, and the expensive
-// part — JSON-encoding every live SFC and writing the snapshot
+// records accumulated. The state view is captured synchronously (a sort and
+// references, no conversion) together with a wal.Mark, and the expensive
+// part — converting and JSON-encoding every SFC and writing the snapshot
 // generation — runs in a background goroutine, off the mutation path.
 // Records committed while the snapshot is being written are retained by
 // the marked log and carried into the new generation, so nothing is lost.
@@ -185,17 +193,14 @@ func (c *Controller) maybeSnapshot() {
 		c.logf("core: journal snapshot mark failed: %v", err)
 		return
 	}
-	st := c.stateRecNow()
+	st := c.captureState()
 	c.recs = 0
 	c.snapBusy.Store(true)
 	c.snapWG.Add(1)
 	go func() {
 		defer c.snapWG.Done()
 		defer c.snapBusy.Store(false)
-		rec, err := encodeRec(recSnapshot, st)
-		if err == nil {
-			err = c.log.Rotate(rec)
-		}
+		err := c.log.RotateTo(func(w io.Writer) error { return st.writeRec(w, recSnapshot) })
 		if err != nil {
 			c.logf("core: journal snapshot failed: %v", err)
 		}
@@ -208,32 +213,91 @@ func (c *Controller) snapshotNow() error {
 	if c.log == nil {
 		return nil
 	}
-	rec, err := encodeRec(recSnapshot, c.stateRecNow())
-	if err != nil {
-		return err
-	}
-	if err := c.log.Rotate(rec); err != nil {
+	st := c.captureState()
+	if err := c.log.RotateTo(func(w io.Writer) error { return st.writeRec(w, recSnapshot) }); err != nil {
 		return err
 	}
 	c.recs = 0
 	return nil
 }
 
-// stateRecNow captures the controller's current durable state.
-func (c *Controller) stateRecNow() *stateRec {
-	st := &stateRec{Provisioned: c.updater != nil}
+// stateView is the controller's durable state at one instant, encoded as
+// the equivalent stateRec. It holds the registered SFCs and the live
+// chains' stage lists by reference — the controller never mutates either
+// once stored — so a capture costs a sort, and a snapshot encodes one SFC
+// at a time straight into the snapshot file, off the mutation path,
+// without a copy of the fleet in memory.
+type stateView struct {
+	rec  stateRec       // every field but SFCs
+	sfcs []*vswitch.SFC // ascending tenant order
+}
+
+// captureState captures the controller's current durable state.
+func (c *Controller) captureState() *stateView {
+	v := &stateView{rec: stateRec{Provisioned: c.updater != nil}}
 	info := c.lastInfo
-	st.Info = &info
-	for _, t := range sortedTenants(c.sfcs) {
-		st.SFCs = append(st.SFCs, p4rt.FromSFC(c.sfcs[t]))
+	v.rec.Info = &info
+	tenants := sortedTenants(c.sfcs)
+	v.sfcs = make([]*vswitch.SFC, len(tenants))
+	for i, t := range tenants {
+		v.sfcs[i] = c.sfcs[t]
+		if c.updater == nil {
+			continue
+		}
+		if _, stages, live := c.updater.Placement(int(t)); live {
+			v.rec.Live = append(v.rec.Live, liveEntry{Tenant: t, Stages: stages})
+		}
 	}
-	for _, t := range sortedKeys(c.placed) {
-		st.Placed = append(st.Placed, t)
-	}
+	v.rec.Placed = sortedKeys(c.placed)
 	if c.updater != nil {
-		in, a, _ := c.updater.Current()
-		st.Live = deployedEntries(in, a, nil)
-		st.Layout = cloneLayout(a.X)
+		v.rec.Layout = c.updater.Layout()
 	}
-	return st
+	return v
+}
+
+// writeRec writes the record — kind byte, then what json.Marshal produces
+// for the equivalent stateRec — to w through a small buffer, encoding one
+// SFC at a time.
+func (v *stateView) writeRec(w io.Writer, kind byte) error {
+	rest := v.rec
+	rest.Provisioned = false
+	tail, err := json.Marshal(&rest)
+	if err != nil {
+		return fmt.Errorf("core: journal encode: %w", err)
+	}
+	const chunk = 32 << 10
+	b := make([]byte, 0, 2*chunk)
+	b = append(b, kind, '{')
+	sep := false
+	if v.rec.Provisioned {
+		b = append(b, `"p":true`...)
+		sep = true
+	}
+	if len(v.sfcs) > 0 {
+		if sep {
+			b = append(b, ',')
+		}
+		b = append(b, `"sfcs":[`...)
+		for i, s := range v.sfcs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if b = p4rt.AppendSFC(b, s); len(b) >= chunk {
+				if _, err := w.Write(b); err != nil {
+					return err
+				}
+				b = b[:0]
+			}
+		}
+		b = append(b, ']')
+		sep = true
+	}
+	if inner := tail[1 : len(tail)-1]; len(inner) > 0 {
+		if sep {
+			b = append(b, ',')
+		}
+		b = append(b, inner...)
+	}
+	_, err = w.Write(append(b, '}'))
+	return err
 }

@@ -122,7 +122,7 @@ func (c *Controller) Reconcile() (*ReconcileReport, error) {
 				if !a.X[i-1][s] {
 					continue
 				}
-				capacity := need[[2]int{i, s}]
+				capacity := need.at(i, s)
 				if capacity > 0 {
 					capacity = (capacity + E - 1) / E * E
 				}

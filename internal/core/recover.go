@@ -308,6 +308,7 @@ func RecoverSwitch(dir string, v *vswitch.VSwitch, opts Options) (*Controller, e
 			return nil, err
 		}
 	}
+	c.resync()
 	return c, nil
 }
 

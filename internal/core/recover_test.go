@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sfp/internal/faultnet"
+	"sfp/internal/p4rt"
 	"sfp/internal/vswitch"
 )
 
@@ -413,4 +414,47 @@ func (p *pointRecorder) index(point string) int {
 		}
 	}
 	return -1
+}
+
+// TestStateViewEncodesAsStateRec: a snapshot encoded from a captured view
+// is byte-identical to the JSON of the equivalent fully converted stateRec
+// (the reference capture below), before provisioning and after a scenario.
+func TestStateViewEncodesAsStateRec(t *testing.T) {
+	reference := func(c *Controller) *stateRec {
+		st := &stateRec{Provisioned: c.updater != nil}
+		info := c.lastInfo
+		st.Info = &info
+		for _, t := range sortedTenants(c.sfcs) {
+			st.SFCs = append(st.SFCs, p4rt.FromSFC(c.sfcs[t]))
+		}
+		st.Placed = sortedKeys(c.placed)
+		if c.updater != nil {
+			in, a, _ := c.updater.Current()
+			st.Live = deployedEntries(in, a, nil)
+			st.Layout = cloneLayout(a.X)
+		}
+		return st
+	}
+	same := func(c *Controller, where string) {
+		t.Helper()
+		got, err := encodeRec(recSnapshot, c.captureState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := encodeRec(recSnapshot, reference(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%s: view encodes as\n%s\nstateRec as\n%s", where, got, want)
+		}
+	}
+	c := New(testOptions(AlgoGreedy))
+	same(c, "unprovisioned")
+	for _, op := range scenario() {
+		if err := op.run(c); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		same(c, op.name)
+	}
 }

@@ -182,3 +182,25 @@ func BenchmarkLifecycleChurn100k(b *testing.B) {
 		}
 	}
 }
+
+// TestTraceGoldens pins the seeded admission/departure traces of the smoke
+// configuration and the shrunk test configuration: a change to placement,
+// admission or churn that alters who gets placed changes these hashes.
+func TestTraceGoldens(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"smoke", Smoke(), 0x4418cd118f7102d5},
+		{"shrunk", shrunk(), 0xa35f7c6234a4dc97},
+	} {
+		rep, err := Run(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.TraceHash != tc.want {
+			t.Errorf("%s: trace hash %016x, want %016x", tc.name, rep.TraceHash, tc.want)
+		}
+	}
+}

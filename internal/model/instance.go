@@ -92,19 +92,29 @@ func (in *Instance) Validate() error {
 			return fmt.Errorf("model: duplicate chain ID %d", c.ID)
 		}
 		seen[c.ID] = true
-		if len(c.NFs) == 0 {
-			return fmt.Errorf("model: chain %d empty", c.ID)
+		if err := c.Validate(in.NumTypes); err != nil {
+			return err
 		}
-		if c.BandwidthGbps <= 0 {
-			return fmt.Errorf("model: chain %d bandwidth %v", c.ID, c.BandwidthGbps)
+	}
+	return nil
+}
+
+// Validate is the per-chain part of Instance.Validate: a non-empty box
+// list, positive bandwidth, and every box of a type in [1, numTypes] with
+// positive rules.
+func (c *Chain) Validate(numTypes int) error {
+	if len(c.NFs) == 0 {
+		return fmt.Errorf("model: chain %d empty", c.ID)
+	}
+	if c.BandwidthGbps <= 0 {
+		return fmt.Errorf("model: chain %d bandwidth %v", c.ID, c.BandwidthGbps)
+	}
+	for j, b := range c.NFs {
+		if b.Type < 1 || b.Type > numTypes {
+			return fmt.Errorf("model: chain %d box %d type %d outside [1,%d]", c.ID, j, b.Type, numTypes)
 		}
-		for j, b := range c.NFs {
-			if b.Type < 1 || b.Type > in.NumTypes {
-				return fmt.Errorf("model: chain %d box %d type %d outside [1,%d]", c.ID, j, b.Type, in.NumTypes)
-			}
-			if b.Rules <= 0 {
-				return fmt.Errorf("model: chain %d box %d has %d rules", c.ID, j, b.Rules)
-			}
+		if b.Rules <= 0 {
+			return fmt.Errorf("model: chain %d box %d has %d rules", c.ID, j, b.Rules)
 		}
 	}
 	return nil

@@ -30,30 +30,8 @@ func Verify(in *Instance, a *Assignment, consolidate bool) error {
 	}
 
 	for l, c := range in.Chains {
-		st := a.Stages[l]
-		if len(st) != c.Len() {
-			return fmt.Errorf("model: chain %d stage list length %d != %d", c.ID, len(st), c.Len())
-		}
-		deployed := st[0] >= 0
-		prev := -1
-		for j, k := range st {
-			if (k >= 0) != deployed {
-				return fmt.Errorf("model: chain %d partial deployment (Eq. 7)", c.ID)
-			}
-			if !deployed {
-				continue
-			}
-			if k >= K {
-				return fmt.Errorf("model: chain %d box %d at stage %d ≥ K=%d", c.ID, j, k, K)
-			}
-			if k <= prev {
-				return fmt.Errorf("model: chain %d order violated at box %d (Eq. 8)", c.ID, j)
-			}
-			prev = k
-			if !a.X[c.NFs[j].Type-1][k%S] {
-				return fmt.Errorf("model: chain %d box %d (type %d) on stage %d without physical NF (Eq. 9)",
-					c.ID, j, c.NFs[j].Type, k%S)
-			}
+		if err := CheckChain(c, a.Stages[l], a.X, S, K); err != nil {
+			return err
 		}
 	}
 
@@ -101,6 +79,39 @@ func Verify(in *Instance, a *Assignment, consolidate bool) error {
 	}
 	if load > in.Switch.CapacityGbps*(1+1e-9) {
 		return fmt.Errorf("model: backplane load %.3f > C=%.3f (Eq. 12)", load, in.Switch.CapacityGbps)
+	}
+	return nil
+}
+
+// CheckChain applies Verify's per-chain structural checks to one chain's
+// box stages st against the physical layout X: all boxes share fate
+// (Eq. 7), deployed boxes sit on strictly increasing virtual stages below
+// K (Eq. 8), and each lands on a stage holding a physical NF of its type
+// (Eq. 9).
+func CheckChain(c *Chain, st []int, X [][]bool, S, K int) error {
+	if len(st) != c.Len() {
+		return fmt.Errorf("model: chain %d stage list length %d != %d", c.ID, len(st), c.Len())
+	}
+	deployed := st[0] >= 0
+	prev := -1
+	for j, k := range st {
+		if (k >= 0) != deployed {
+			return fmt.Errorf("model: chain %d partial deployment (Eq. 7)", c.ID)
+		}
+		if !deployed {
+			continue
+		}
+		if k >= K {
+			return fmt.Errorf("model: chain %d box %d at stage %d ≥ K=%d", c.ID, j, k, K)
+		}
+		if k <= prev {
+			return fmt.Errorf("model: chain %d order violated at box %d (Eq. 8)", c.ID, j)
+		}
+		prev = k
+		if !X[c.NFs[j].Type-1][k%S] {
+			return fmt.Errorf("model: chain %d box %d (type %d) on stage %d without physical NF (Eq. 9)",
+				c.ID, j, c.NFs[j].Type, k%S)
+		}
 	}
 	return nil
 }

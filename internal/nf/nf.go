@@ -120,8 +120,25 @@ func drop(ctx *pipeline.Context, p *packet.Packet, params []uint64) {
 
 // ForType returns the Spec of an NF type. It panics on an invalid type —
 // the catalogue is fixed per deployment cycle (§III assumption 2), so an
-// unknown type is a programming error, not an input error.
+// unknown type is a programming error, not an input error. Specs are built
+// once and shared (every rule install validates against one): callers must
+// not modify them.
 func ForType(t Type) *Spec {
+	if !t.Valid() {
+		panic(fmt.Sprintf("nf: invalid type %d", int(t)))
+	}
+	return specs[t]
+}
+
+// specs holds every type's Spec, indexed by type.
+var specs = func() (out [typeEnd]*Spec) {
+	for _, t := range AllTypes() {
+		out[t] = buildSpec(t)
+	}
+	return out
+}()
+
+func buildSpec(t Type) *Spec {
 	switch t {
 	case Firewall:
 		return firewallSpec()

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"sfp/internal/nf"
+	"sfp/internal/pipeline"
+	"sfp/internal/vswitch"
 )
 
 // randSFCSpec draws an arbitrary spec, including awkward values (zeroes,
@@ -57,6 +59,39 @@ func TestSFCSpecCodecRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(orig, &back) {
 			t.Fatalf("case %d: round trip mismatch:\n orig %+v\n back %+v\n wire %s", i, orig, &back, raw)
+		}
+	}
+}
+
+// TestAppendSFCMatchesSpecCodec: encoding an SFC directly gives the same
+// bytes as converting it to a spec and marshaling that.
+func TestAppendSFCMatchesSpecCodec(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	actions := []string{"permit", "fwd", `we"ird\act`, "uni·code", ""}
+	for i := 0; i < 500; i++ {
+		s := &vswitch.SFC{Tenant: rng.Uint32(), BandwidthGbps: []float64{0, 1.5, 0.001, 123456.789}[rng.Intn(4)]}
+		for j := rng.Intn(4); j > 0; j-- {
+			cfg := &nf.Config{Type: nf.Type(1 + rng.Intn(nf.TypeCount))}
+			for k := rng.Intn(3); k > 0; k-- {
+				r := nf.ConfigRule{Priority: rng.Intn(100) - 50, Action: actions[rng.Intn(len(actions))]}
+				for m := rng.Intn(3); m > 0; m-- {
+					r.Matches = append(r.Matches, pipeline.Match{
+						Value: rng.Uint64(), Mask: rng.Uint64(), PrefixLen: rng.Intn(33), Lo: rng.Uint64(), Hi: ^uint64(0),
+					})
+				}
+				for m := rng.Intn(3); m > 0; m-- {
+					r.Params = append(r.Params, rng.Uint64())
+				}
+				cfg.Rules = append(cfg.Rules, r)
+			}
+			s.NFs = append(s.NFs, cfg)
+		}
+		want, err := json.Marshal(FromSFC(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendSFC([]byte("x"), s); string(got) != "x"+string(want) {
+			t.Fatalf("case %d: AppendSFC %s, spec codec %s", i, got[1:], want)
 		}
 	}
 }

@@ -112,12 +112,7 @@ type decomposer struct {
 	repStage []int32 // repaired stages, flat at offs[l]
 	repDep   []bool
 	repX     [][]bool
-	undo     []undoEntry
-}
-
-type undoEntry struct {
-	t, s, add int
-	prevX     bool
+	ints     []int // scratch stages for greedyState calls
 }
 
 // SolveDecomposed solves the full placement by Lagrangian decomposition
@@ -267,7 +262,9 @@ func newDecomposer(in *model.Instance, cons bool) *decomposer {
 	d.loads = make([][]float64, L)
 	d.canFit = make([]bool, L)
 	d.offs = make([]int, L+1)
+	longest := 0
 	for l, c := range in.Chains {
+		longest = max(longest, c.Len())
 		d.profit[l] = model.ChainProfit(c)
 		d.bw[l] = c.BandwidthGbps
 		d.offs[l+1] = d.offs[l] + c.Len()
@@ -292,6 +289,7 @@ func newDecomposer(in *model.Instance, cons bool) *decomposer {
 	d.stageBuf = make([]int32, d.offs[L])
 	d.repStage = make([]int32, d.offs[L])
 	d.repDep = make([]bool, L)
+	d.ints = make([]int, longest)
 	d.repX = make([][]bool, in.NumTypes)
 	for i := range d.repX {
 		d.repX[i] = make([]bool, d.S)
@@ -410,72 +408,27 @@ func (d *decomposer) priceChain(l int, sc *priceScratch) {
 }
 
 // commitAt places chain l at the given stages under exact accounting,
-// mutating g in place; on any violation the partial placement is undone and
-// false is returned.
+// mutating g in place; on any violation g is left unchanged and false is
+// returned.
 func (d *decomposer) commitAt(g *greedyState, l int, stages []int32) bool {
-	c := d.in.Chains[l]
-	d.undo = d.undo[:0]
-	for j, b := range c.NFs {
-		s := int(stages[j]) % d.S
-		if !g.fits(b.Type, s, b.Rules) {
-			d.rollback(g)
-			return false
-		}
-		d.undo = append(d.undo, undoEntry{t: b.Type, s: s, add: b.Rules, prevX: g.X[b.Type-1][s]})
-		g.place(b.Type, s, b.Rules)
+	st := d.ints[:len(stages)]
+	for j, k := range stages {
+		st[j] = int(k)
 	}
-	passes := float64(int(stages[len(stages)-1])/d.S + 1)
-	if g.capUsed+passes*d.bw[l] > d.backCap {
-		d.rollback(g)
-		return false
-	}
-	g.capUsed += passes * d.bw[l]
-	return true
+	return g.commit(d.in.Chains[l], st)
 }
 
-// commitFirstFit is commitAt's fallback: the same ascending first-fit scan
-// tryChain uses, but in place. The chosen stages are written into out.
+// commitFirstFit is commitAt's fallback: greedy's ascending first-fit scan.
+// The chosen stages are written into out.
 func (d *decomposer) commitFirstFit(g *greedyState, l int, out []int32) bool {
-	c := d.in.Chains[l]
-	d.undo = d.undo[:0]
-	cursor := 0
-	for j, b := range c.NFs {
-		placed := -1
-		for k := cursor; k < d.K; k++ {
-			if g.fits(b.Type, k%d.S, b.Rules) {
-				placed = k
-				break
-			}
-		}
-		if placed == -1 {
-			d.rollback(g)
-			return false
-		}
-		s := placed % d.S
-		d.undo = append(d.undo, undoEntry{t: b.Type, s: s, add: b.Rules, prevX: g.X[b.Type-1][s]})
-		g.place(b.Type, s, b.Rules)
-		out[j] = int32(placed)
-		cursor = placed + 1
-	}
-	passes := float64(int(out[c.Len()-1])/d.S + 1)
-	if g.capUsed+passes*d.bw[l] > d.backCap {
-		d.rollback(g)
+	st := d.ints[:len(out)]
+	if !g.tryChain(d.in.Chains[l], st) {
 		return false
 	}
-	g.capUsed += passes * d.bw[l]
-	return true
-}
-
-func (d *decomposer) rollback(g *greedyState) {
-	E := d.in.Switch.EntriesPerBlock
-	for i := len(d.undo) - 1; i >= 0; i-- {
-		u := d.undo[i]
-		g.rules[u.t-1][u.s] -= u.add
-		if !g.cons {
-			g.blocks[u.s] -= (u.add + E - 1) / E
-		}
-		g.X[u.t-1][u.s] = u.prevX
+	for j, k := range st {
+		out[j] = int32(k)
 	}
+	return true
 }
 
 // repair rounds the priced selection into a feasible placement: priced

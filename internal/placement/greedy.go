@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"sort"
 	"time"
 
 	"sfp/internal/model"
@@ -19,7 +20,8 @@ type GreedyOptions struct {
 }
 
 // greedyState tracks the resources the greedy algorithm consumes as it
-// commits chains.
+// commits chains. SolveGreedy builds one from scratch per call; the Updater
+// retains one across replans, patched per admission and departure.
 type greedyState struct {
 	in   *model.Instance
 	cons bool
@@ -32,6 +34,10 @@ type greedyState struct {
 	blocks []int
 	// capUsed is the Eq. 12 backplane load.
 	capUsed float64
+	// capSum is the compensated total behind capUsed in a retained state,
+	// so millions of admissions and departures do not drift the load
+	// (SolveGreedy leaves it unused and sums capUsed directly).
+	capSum model.Sum
 }
 
 func newGreedyState(in *model.Instance, cons bool) *greedyState {
@@ -71,27 +77,21 @@ func (g *greedyState) fits(t, s, add int) bool {
 	return g.blocks[s]+(add+E-1)/E <= B
 }
 
-// place commits `add` rules of type t on stage s.
-func (g *greedyState) place(t, s, add int) {
-	g.rules[t-1][s] += add
-	E := g.in.Switch.EntriesPerBlock
+// take commits `add` rules of type t on stage s; give returns them.
+func (g *greedyState) take(t, s, add int) { g.shift(t, s, add, 1) }
+func (g *greedyState) give(t, s, add int) { g.shift(t, s, add, -1) }
+
+func (g *greedyState) shift(t, s, add, sign int) {
+	g.rules[t-1][s] += sign * add
 	if !g.cons {
-		g.blocks[s] += (add + E - 1) / E
+		E := g.in.Switch.EntriesPerBlock
+		g.blocks[s] += sign * ((add + E - 1) / E)
 	}
-	g.X[t-1][s] = true
 }
 
-// clone snapshots the state for tentative placement.
-func (g *greedyState) clone() *greedyState {
-	c := &greedyState{in: g.in, cons: g.cons, capUsed: g.capUsed}
-	c.X = make([][]bool, len(g.X))
-	c.rules = make([][]int, len(g.rules))
-	for i := range g.X {
-		c.X[i] = append([]bool(nil), g.X[i]...)
-		c.rules[i] = append([]int(nil), g.rules[i]...)
-	}
-	c.blocks = append([]int(nil), g.blocks...)
-	return c
+// chainLoad is a placed chain's Eq. 12 backplane load.
+func chainLoad(c *model.Chain, stages []int, S int) float64 {
+	return float64(stages[len(stages)-1]/S+1) * c.BandwidthGbps
 }
 
 // tryChain attempts to place one chain. Per Algorithm 2, each box goes to
@@ -100,35 +100,124 @@ func (g *greedyState) clone() *greedyState {
 // block-granular memory model those two cases cost the same wherever they
 // land (rules of one type on one stage share the block ceiling), so the
 // scan is a single ascending first-fit over virtual stages — which also
-// minimizes recirculation, the scarcer Eq. 12 resource. It returns the box
-// stages on success.
-func (g *greedyState) tryChain(c *model.Chain) ([]int, *greedyState, bool) {
+// minimizes recirculation, the scarcer Eq. 12 resource. On success the
+// chain's resources and physical NFs are committed and stages holds its box
+// stages; on failure g is unchanged.
+func (g *greedyState) tryChain(c *model.Chain, stages []int) bool {
 	S, K := g.in.Switch.Stages, g.in.K()
-	work := g.clone()
-	stages := make([]int, c.Len())
 	cursor := 0
 	for j, b := range c.NFs {
 		placed := -1
 		for k := cursor; k < K; k++ {
-			s := k % S
-			if work.fits(b.Type, s, b.Rules) {
+			if g.fits(b.Type, k%S, b.Rules) {
 				placed = k
 				break
 			}
 		}
 		if placed == -1 {
-			return nil, nil, false
+			g.giveBoxes(c, stages[:j])
+			return false
 		}
-		work.place(b.Type, placed%S, b.Rules)
+		g.take(b.Type, placed%S, b.Rules)
 		stages[j] = placed
 		cursor = placed + 1
 	}
-	passes := stages[len(stages)-1]/S + 1
-	if work.capUsed+float64(passes)*c.BandwidthGbps > g.in.Switch.CapacityGbps {
-		return nil, nil, false
+	return g.commitLoad(c, stages)
+}
+
+// commit places a chain at the given virtual stages if every box fits in
+// turn and the load stays within C; like tryChain it leaves g unchanged on
+// failure.
+func (g *greedyState) commit(c *model.Chain, stages []int) bool {
+	S := g.in.Switch.Stages
+	for j, b := range c.NFs {
+		if !g.fits(b.Type, stages[j]%S, b.Rules) {
+			g.giveBoxes(c, stages[:j])
+			return false
+		}
+		g.take(b.Type, stages[j]%S, b.Rules)
 	}
-	work.capUsed += float64(passes) * c.BandwidthGbps
-	return stages, work, true
+	return g.commitLoad(c, stages)
+}
+
+// commitLoad finishes a placement whose boxes are taken: if its load fits
+// the backplane it is committed with the chain's physical NFs, otherwise
+// the boxes are given back.
+func (g *greedyState) commitLoad(c *model.Chain, stages []int) bool {
+	load := chainLoad(c, stages, g.in.Switch.Stages)
+	if g.capUsed+load > g.in.Switch.CapacityGbps {
+		g.giveBoxes(c, stages)
+		return false
+	}
+	g.capUsed += load
+	g.markX(c, stages)
+	return true
+}
+
+// markX records the physical NFs a placed chain's boxes sit on.
+func (g *greedyState) markX(c *model.Chain, stages []int) {
+	S := g.in.Switch.Stages
+	for j, k := range stages {
+		g.X[c.NFs[j].Type-1][k%S] = true
+	}
+}
+
+// giveBoxes returns the rules of a chain's first len(stages) boxes.
+func (g *greedyState) giveBoxes(c *model.Chain, stages []int) {
+	S := g.in.Switch.Stages
+	for j, k := range stages {
+		g.give(c.NFs[j].Type, k%S, c.NFs[j].Rules)
+	}
+}
+
+// pin commits an already-placed chain to a retained state: its rules, its
+// physical NFs, and its load on the compensated total.
+func (g *greedyState) pin(c *model.Chain, stages []int) {
+	S := g.in.Switch.Stages
+	for j, k := range stages {
+		g.take(c.NFs[j].Type, k%S, c.NFs[j].Rules)
+	}
+	g.markX(c, stages)
+	g.account(c, stages, 1)
+}
+
+// release is the inverse of pin for a departing chain. The layout never
+// shrinks: a physical NF stays installed after its last chain leaves.
+func (g *greedyState) release(c *model.Chain, stages []int) {
+	g.giveBoxes(c, stages)
+	g.account(c, stages, -1)
+}
+
+// account moves a committed chain's load onto (sign 1) or off (sign -1)
+// the compensated total and re-bases capUsed on it.
+func (g *greedyState) account(c *model.Chain, stages []int, sign float64) {
+	g.capSum.Add(sign * chainLoad(c, stages, g.in.Switch.Stages))
+	g.capUsed = g.capSum.Value()
+}
+
+// firstFit is Algorithm 2's placing loop: the candidates, in the given
+// order, are sorted stably by the Eq. 13 metric, descending, and each is
+// committed first-fit if it fits the remaining resources. admit receives
+// every placed candidate's index and box stages (a scratch slice, valid
+// only during the call); Resource_recompute is the state carried between
+// candidates.
+func (g *greedyState) firstFit(cands []*model.Chain, admit func(i int, stages []int)) {
+	order := make([]int, len(cands))
+	longest := 0
+	for i, c := range cands {
+		order[i] = i
+		longest = max(longest, c.Len())
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return Metric(cands[order[a]]) > Metric(cands[order[b]])
+	})
+	buf := make([]int, longest)
+	for _, i := range order {
+		stages := buf[:cands[i].Len()]
+		if g.tryChain(cands[i], stages) {
+			admit(i, stages)
+		}
+	}
 }
 
 // SolveGreedy implements Algorithm 2: chains are ordered by the Eq. 13
@@ -142,36 +231,28 @@ func SolveGreedy(in *model.Instance, opts GreedyOptions) (*Result, error) {
 	g := newGreedyState(in, opts.Consolidate)
 	a := model.NewAssignment(in)
 
-	pinned := map[int]bool{}
+	// The chains not pinned are the candidates; cands[i] is in.Chains[at[i]].
+	var cands []*model.Chain
+	var at []int
+	S := in.Switch.Stages
 	if opts.Pinned != nil {
-		S := in.Switch.Stages
 		for i := range opts.Pinned.X {
 			copy(g.X[i], opts.Pinned.X[i])
 		}
-		for l, c := range in.Chains {
-			if !opts.Pinned.Deployed(l) {
-				continue
-			}
-			pinned[l] = true
-			copy(a.Stages[l], opts.Pinned.Stages[l])
-			for j, k := range opts.Pinned.Stages[l] {
-				g.place(c.NFs[j].Type, k%S, c.NFs[j].Rules)
-			}
-			g.capUsed += float64(opts.Pinned.Passes(l, S)) * c.BandwidthGbps
-		}
 	}
-
-	for _, l := range sortChainsByMetric(in) {
-		if pinned[l] {
+	for l, c := range in.Chains {
+		if opts.Pinned == nil || !opts.Pinned.Deployed(l) {
+			cands, at = append(cands, c), append(at, l)
 			continue
 		}
-		stages, next, ok := g.tryChain(in.Chains[l])
-		if !ok {
-			continue
+		copy(a.Stages[l], opts.Pinned.Stages[l])
+		for j, k := range opts.Pinned.Stages[l] {
+			g.take(c.NFs[j].Type, k%S, c.NFs[j].Rules)
 		}
-		*g = *next
-		copy(a.Stages[l], stages)
+		g.markX(c, opts.Pinned.Stages[l])
+		g.capUsed += float64(opts.Pinned.Passes(l, S)) * c.BandwidthGbps
 	}
+	g.firstFit(cands, func(i int, stages []int) { copy(a.Stages[at[i]], stages) })
 	// Physical layout from the committed state, plus Eq. 4 fill-in for
 	// types no chain used (they consume no memory until configured).
 	for i := range g.X {

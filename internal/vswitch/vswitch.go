@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"sfp/internal/model"
 	"sfp/internal/nf"
 	"sfp/internal/packet"
 	"sfp/internal/pipeline"
@@ -74,9 +75,10 @@ type VSwitch struct {
 	physical [][]*PhysicalNF
 	// byTenant tracks live allocations for deallocation and accounting.
 	byTenant map[uint32]*Allocation
-	// bandwidthUsed is Σ (R_l+1)·T_l over live allocations, checked against
-	// the backplane capacity (Eq. 12).
-	bandwidthUsed float64
+	// bandwidth is Σ (R_l+1)·T_l over live allocations, checked against
+	// the backplane capacity (Eq. 12). The sum is compensated, like the
+	// planner's, so churn does not drift the two apart at the capacity edge.
+	bandwidth model.Sum
 
 	// compiled caches the pipeline's compiled form for the packet hot path.
 	// Rule churn (tenant allocate/deallocate) keeps a Compiled valid, so
@@ -197,7 +199,7 @@ func (v *VSwitch) Layout() [][]nf.Type {
 }
 
 // BandwidthUsed returns Σ (R_l+1)·T_l over live allocations.
-func (v *VSwitch) BandwidthUsed() float64 { return v.bandwidthUsed }
+func (v *VSwitch) BandwidthUsed() float64 { return max(v.bandwidth.Value(), 0) }
 
 // Allocations returns the live allocation for a tenant (nil if none).
 func (v *VSwitch) Allocations(tenant uint32) *Allocation { return v.byTenant[tenant] }
@@ -333,9 +335,9 @@ func (v *VSwitch) allocateOne(sfc *SFC, placements []Placement, cache map[[2]int
 	if passes > v.Pipe.Cfg.MaxPasses {
 		return nil, fmt.Errorf("vswitch: needs %d passes, max %d", passes, v.Pipe.Cfg.MaxPasses)
 	}
-	if v.bandwidthUsed+float64(passes)*sfc.BandwidthGbps > v.Pipe.Cfg.CapacityGbps {
+	if v.BandwidthUsed()+float64(passes)*sfc.BandwidthGbps > v.Pipe.Cfg.CapacityGbps {
 		return nil, fmt.Errorf("vswitch: backplane capacity exceeded: %.1f + %d×%.1f > %.1f Gbps",
-			v.bandwidthUsed, passes, sfc.BandwidthGbps, v.Pipe.Cfg.CapacityGbps)
+			v.BandwidthUsed(), passes, sfc.BandwidthGbps, v.Pipe.Cfg.CapacityGbps)
 	}
 
 	// The last NF of every pass except the final one carries the REC
@@ -428,7 +430,7 @@ func (v *VSwitch) allocateOne(sfc *SFC, placements []Placement, cache map[[2]int
 		Spec:          sfc,
 	}
 	v.byTenant[sfc.Tenant] = alloc
-	v.bandwidthUsed += float64(passes) * sfc.BandwidthGbps
+	v.bandwidth.Add(float64(passes) * sfc.BandwidthGbps)
 	return alloc, nil
 }
 
@@ -472,10 +474,7 @@ func (v *VSwitch) Deallocate(tenant uint32) error {
 			t.DeleteTenant(tenant)
 		}
 	}
-	v.bandwidthUsed -= float64(alloc.Passes) * alloc.BandwidthGbps
-	if v.bandwidthUsed < 0 {
-		v.bandwidthUsed = 0
-	}
+	v.bandwidth.Add(-float64(alloc.Passes) * alloc.BandwidthGbps)
 	delete(v.byTenant, tenant)
 	return nil
 }
@@ -506,11 +505,8 @@ func (v *VSwitch) DeallocateBatch(tenants []uint32) error {
 	}
 	for _, tn := range tenants {
 		alloc := v.byTenant[tn]
-		v.bandwidthUsed -= float64(alloc.Passes) * alloc.BandwidthGbps
+		v.bandwidth.Add(-float64(alloc.Passes) * alloc.BandwidthGbps)
 		delete(v.byTenant, tn)
-	}
-	if v.bandwidthUsed < 0 {
-		v.bandwidthUsed = 0
 	}
 	return nil
 }

@@ -33,6 +33,7 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -488,6 +489,16 @@ func (l *Log) Mark() error {
 // generation's journal. Rotate does not block them from returning any
 // longer than the rotation itself.
 func (l *Log) Rotate(snapshot []byte) error {
+	return l.RotateTo(func(w io.Writer) error {
+		_, err := w.Write(snapshot)
+		return err
+	})
+}
+
+// RotateTo is Rotate with the snapshot written by encode instead of passed
+// whole: it streams through a small buffer into the snapshot file and is
+// checksummed on the way, so a large snapshot is never held in memory.
+func (l *Log) RotateTo(encode func(w io.Writer) error) error {
 	l.mu.Lock()
 	if l.f == nil || l.closing {
 		l.mu.Unlock()
@@ -527,7 +538,7 @@ func (l *Log) Rotate(snapshot []byte) error {
 	next := l.gen + 1
 	l.mu.Unlock()
 
-	nf, err := l.writeGeneration(next, snapshot, tail)
+	nf, err := l.writeGeneration(next, encode, tail)
 
 	l.mu.Lock()
 	l.rotating = false
@@ -560,14 +571,13 @@ func (l *Log) Rotate(snapshot []byte) error {
 // tail, then the rename that makes the generation preferred. The journal
 // is durable *before* the rename — once recovery can see snap-<next>, the
 // tail records it needs are guaranteed to be there.
-func (l *Log) writeGeneration(next uint64, snapshot, tail []byte) (*os.File, error) {
+func (l *Log) writeGeneration(next uint64, encode func(io.Writer) error, tail []byte) (*os.File, error) {
 	tmp := filepath.Join(l.dir, snapName(next)+".tmp")
-	buf := appendFrame(append(make([]byte, 0, len(snapMagic)+8+len(snapshot)), snapMagic...), snapshot)
 	sf, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if _, err := sf.Write(buf); err != nil {
+	if err := writeSnapshot(sf, encode); err != nil {
 		sf.Close()
 		return nil, fmt.Errorf("wal: %w", err)
 	}
@@ -601,6 +611,41 @@ func (l *Log) writeGeneration(next uint64, snapshot, tail []byte) (*os.File, err
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	return nf, nil
+}
+
+// writeSnapshot writes a snapshot file: the magic, then the body framed
+// like a journal record. The frame's length and checksum are filled in once
+// the body has streamed past.
+func writeSnapshot(f *os.File, encode func(io.Writer) error) error {
+	bw := bufio.NewWriterSize(f, 64<<10)
+	var hdr [8]byte
+	// A bufio.Writer keeps its first error and reports it from Flush.
+	bw.WriteString(snapMagic)
+	bw.Write(hdr[:])
+	body := &frameBody{w: bw}
+	if err := encode(body); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	binary.BigEndian.PutUint32(hdr[:], uint32(body.n))
+	binary.BigEndian.PutUint32(hdr[4:], body.crc)
+	_, err := f.WriteAt(hdr[:], int64(len(snapMagic)))
+	return err
+}
+
+// frameBody counts and checksums a frame body as it is written.
+type frameBody struct {
+	w   io.Writer
+	n   int
+	crc uint32
+}
+
+func (b *frameBody) Write(p []byte) (int, error) {
+	b.n += len(p)
+	b.crc = crc32.Update(b.crc, castagnoli, p)
+	return b.w.Write(p)
 }
 
 // Close flushes staged records, stops the fsyncer, and closes the

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -318,5 +320,48 @@ func TestOversizeRecordRejected(t *testing.T) {
 	defer l.Close()
 	if err := l.Append(make([]byte, maxRecord+1)); err == nil {
 		t.Fatal("oversize record accepted")
+	}
+}
+
+// TestRotateToStreamsAndFailsClean: a streamed snapshot larger than the
+// write buffer recovers byte for byte, and an encoder error leaves the
+// current generation in place and the log usable.
+func TestRotateToStreamsAndFailsClean(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir)
+	big := bytes.Repeat([]byte("0123456789abcdef"), 20000) // 320 KB
+	if err := l.RotateTo(func(w io.Writer) error {
+		for i := 0; i < len(big); i += 1000 {
+			if _, err := w.Write(big[i:min(i+1000, len(big))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("encoder failed")
+	if err := l.RotateTo(func(w io.Writer) error {
+		w.Write([]byte("partial"))
+		return boom
+	}); !errors.Is(err, boom) {
+		t.Fatalf("failed encode returned %v", err)
+	}
+	if l.Gen() != 1 {
+		t.Fatalf("gen after failed rotation = %d, want 1", l.Gen())
+	}
+	if err := l.AppendCommit([]byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := mustOpen(t, dir)
+	defer l2.Close()
+	if !bytes.Equal(rec.Snapshot, big) {
+		t.Fatalf("streamed snapshot recovered as %d bytes, want %d", len(rec.Snapshot), len(big))
+	}
+	if !recordsEqual(rec.Records, "after") {
+		t.Fatalf("records after snapshot = %q", rec.Records)
 	}
 }
