@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -83,6 +84,11 @@ func TestReplanFastMatchesFullChurn(t *testing.T) {
 			if u.LastReplan().FullRebuild {
 				t.Errorf("seed %d step %d: default replan fell back to full rebuild", seed, step)
 			}
+			// Both paths keep the retained greedy state and ledger equal
+			// to a recount: the fast path patches them, the full one
+			// re-sums them.
+			checkAccounts(t, u, fmt.Sprintf("seed %d step %d fast", seed, step))
+			checkAccounts(t, ref, fmt.Sprintf("seed %d step %d full", seed, step))
 			// Survivor pinning invariant: live chains never move.
 			_, a, _ := u.snapshot()
 			inNow, _, _ := u.snapshot()
