@@ -3,9 +3,10 @@
 // their output on the virtualized data plane (internal/vswitch).
 //
 // A Controller owns one switch. Provision performs the initial joint
-// placement of physical NFs and tenant SFCs; Depart and Arrive implement
-// runtime update (§V-E) — departures release rules immediately, arrivals
-// are placed incrementally against the pinned physical layout, and
+// placement of physical NFs and tenant SFCs; DepartMany and ArriveMany
+// (with their one-tenant forms Depart and Arrive) implement runtime update
+// (§V-E) — departures release rules immediately, arrivals are placed
+// incrementally against the pinned physical layout, and
 // ReconfigureIfStale falls back to a full rebuild when the incremental
 // state drifts too far from the global optimum.
 package core
@@ -83,9 +84,9 @@ type Options struct {
 	DecomposeAbove int
 	// Seed drives the randomized rounding.
 	Seed int64
-	// NoFallback disables the AlgoIP→AlgoApprox→AlgoGreedy degradation
-	// chain: a solver timeout or error then fails the Provision instead
-	// of trying the next-cheaper algorithm.
+	// NoFallback disables the fallback to AlgoGreedy: a solver timeout
+	// or error then fails the Provision instead of trying the greedy
+	// heuristic.
 	NoFallback bool
 	// IPNoWarmStart disables seeding the IP solver with the greedy
 	// incumbent (reproduces the cold-solver behavior of the Fig. 9
@@ -95,7 +96,7 @@ type Options struct {
 	// rollbacks). Nil discards them.
 	Logf func(format string, args ...any)
 	// Hook, when set, is called at named points inside mutating
-	// transitions (e.g. "provision:journaled", "depart:deallocated").
+	// transitions (e.g. "provision:journaled", "departmany:deallocated").
 	// The fault-injection harness uses it to kill the controller at
 	// every possible crash point; production controllers leave it nil.
 	Hook func(point string)
@@ -257,24 +258,22 @@ func (c *Controller) solveWith(algo Algorithm, in *model.Instance) (*placement.R
 	return nil, fmt.Errorf("core: unknown algorithm %v", algo)
 }
 
-// fallbackChain lists the algorithms to try, most to least precise,
-// starting from the requested one.
+// fallbackChain lists the algorithms to try: the requested one, then the
+// greedy heuristic. Greedy is the only fallback with a bounded running
+// time; AlgoApprox would re-solve the failed model in R+1 LP trials with
+// no time limit.
 func fallbackChain(a Algorithm) []Algorithm {
-	switch a {
-	case AlgoIP:
-		return []Algorithm{AlgoIP, AlgoApprox, AlgoGreedy}
-	case AlgoApprox:
-		return []Algorithm{AlgoApprox, AlgoGreedy}
-	default:
+	if a == AlgoGreedy {
 		return []Algorithm{a}
 	}
+	return []Algorithm{a, AlgoGreedy}
 }
 
 // solve runs the configured algorithm with graceful degradation: when a
 // solver errors, proves infeasibility, or hits its time limit with no
-// incumbent (an empty placement), the next-cheaper algorithm in the
-// AlgoIP→AlgoApprox→AlgoGreedy chain takes over instead of failing the
-// whole Provision. The chain taken is recorded in ProvisionInfo.
+// incumbent (an empty placement), AlgoGreedy takes over instead of
+// failing the whole Provision. The chain taken is recorded in
+// ProvisionInfo.
 func (c *Controller) solve(in *model.Instance) (*placement.Result, ProvisionInfo, error) {
 	info := ProvisionInfo{Requested: c.opts.Algorithm, Used: c.opts.Algorithm}
 	chain := fallbackChain(c.opts.Algorithm)
@@ -581,13 +580,6 @@ func (c *Controller) apply(layout [][]bool, pending []pendingChain, byTenant map
 	return nil
 }
 
-// unplace forgets a departed tenant's placement: it leaves the placed set
-// and its rule demand leaves the need ledger.
-func (c *Controller) unplace(tenant uint32, ch *model.Chain, stages []int) {
-	delete(c.placed, tenant)
-	c.need.add(ch, stages, -1)
-}
-
 // resync recomputes unrealized and need from the planner and the placed
 // set, wherever the placed set is rebuilt wholesale.
 func (c *Controller) resync() {
@@ -608,68 +600,19 @@ func (c *Controller) resync() {
 	}
 }
 
-// Depart removes a tenant from both planes. Like every other mutating
-// transition it runs as a journaled transaction: the intent is durable
-// before the deallocation touches the switch, and a planner failure after
-// the deallocation restores the tenant's rules from the captured undo
-// state instead of stranding a half-departed tenant.
+// Depart removes a tenant from both planes: a one-tenant DepartMany.
 func (c *Controller) Depart(tenant uint32) error {
-	if c.updater == nil {
-		return fmt.Errorf("core: not provisioned")
-	}
-	if _, known := c.sfcs[tenant]; !known {
-		return fmt.Errorf("core: unknown tenant %d", tenant)
-	}
-	placed := c.placed[tenant]
-	if err := c.journalCommit(recDepartBegin, &departRec{Tenant: tenant, Placed: placed}); err != nil {
-		return err
-	}
-	c.hook("depart:journaled")
-	if placed {
-		ch, stages, _ := c.updater.Placement(int(tenant))
-		// Capture the undo state before touching the switch: Deallocate
-		// frees the rules, so the restore must come from a copy.
-		undo := c.v.Allocations(tenant)
-		if err := c.v.Deallocate(tenant); err != nil {
-			c.abort(recDepartAbort)
-			return err
-		}
-		c.hook("depart:deallocated")
-		if err := c.updater.Depart(int(tenant)); err != nil {
-			// Planner refused: re-install the captured allocation so the
-			// data plane matches the still-live planner state.
-			if undo != nil {
-				if _, rerr := c.v.AllocateAt(undo.Spec, undo.Placements); rerr != nil {
-					err = fmt.Errorf("%w (restoring rules also failed: %v)", err, rerr)
-				}
-			}
-			c.abort(recDepartAbort)
-			return err
-		}
-		c.unplace(tenant, ch, stages)
-	} else {
-		// A waiting tenant has no rules, but the planner still knows it:
-		// withdraw it so future replans stop considering a ghost.
-		c.updater.Withdraw(int(tenant))
-		delete(c.unrealized, tenant)
-	}
-	delete(c.sfcs, tenant)
-	c.hook("depart:precommit")
-	if err := c.journalCommit(recDepartCommit, nil); err != nil {
-		return err
-	}
-	c.hook("depart:committed")
-	return nil
+	return c.DepartMany([]uint32{tenant})
 }
 
-// DepartMany removes a batch of tenants from both planes, equivalent to
-// sequential Depart calls but amortized: one journaled transaction (one
-// begin fsync, one commit fsync), one batched deallocate pass over the
-// data plane's tables, and one cheap residual patch per tenant in the
-// planner — no solve. Like Depart it journals the intent before touching
-// the switch, and on a planner refusal partway through it restores the
-// remaining tenants' rules from the captured undo state and commits only
-// the prefix that fully departed, so both planes stay consistent.
+// DepartMany removes a batch of tenants from both planes in one journaled
+// transaction (one begin fsync, one commit fsync), one batched deallocate
+// on the data plane, and one cheap residual patch per tenant in the
+// planner — no solve. Like every other mutating transition it journals
+// the intent before touching the switch, and on a planner refusal partway
+// through it restores the remaining tenants' rules from the captured undo
+// state and commits only the prefix that fully departed, so both planes
+// stay consistent.
 func (c *Controller) DepartMany(tenants []uint32) error {
 	if c.updater == nil {
 		return fmt.Errorf("core: not provisioned")
@@ -704,8 +647,7 @@ func (c *Controller) DepartMany(tenants []uint32) error {
 	for _, t := range placedTenants {
 		undos[t] = c.v.Allocations(t)
 	}
-	// One pass over every table removes the whole batch; all-or-nothing,
-	// so a failure here leaves the switch unchanged.
+	// All-or-nothing: a failure here leaves the switch unchanged.
 	if err := c.v.DeallocateBatch(placedTenants); err != nil {
 		c.abort(recDepartManyAbort)
 		return err
@@ -719,9 +661,12 @@ func (c *Controller) DepartMany(tenants []uint32) error {
 		if e.Placed {
 			ch, stages, _ := c.updater.Placement(int(e.Tenant))
 			if perr = c.updater.Depart(int(e.Tenant)); perr == nil {
-				c.unplace(e.Tenant, ch, stages)
+				delete(c.placed, e.Tenant)
+				c.need.add(ch, stages, -1)
 			}
 		} else {
+			// A waiting tenant has no rules, but the planner still knows
+			// it: withdraw it so future replans stop considering a ghost.
 			c.updater.Withdraw(int(e.Tenant))
 			delete(c.unrealized, e.Tenant)
 		}

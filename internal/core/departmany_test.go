@@ -12,7 +12,7 @@ import (
 
 // TestDepartManyMatchesSequential: one DepartMany call must leave the
 // controller and the switch in exactly the state a sequential Depart loop
-// over the same tenants produces.
+// (N one-entry batches) over the same tenants produces.
 func TestDepartManyMatchesSequential(t *testing.T) {
 	build := func() *Controller {
 		c := New(testOptions(AlgoGreedy))
@@ -141,7 +141,8 @@ func TestCrashMidGroupCommitTornTail(t *testing.T) {
 	refFP := controllerFingerprint(ref)
 
 	// Locate the hook index of the journal:staged that precedes the
-	// departmany journaled hook in a fault-free run.
+	// departmany journaled hook inside the departmany op in a fault-free
+	// run (the depart op before it is a one-tenant departmany too).
 	probe := &pointRecorder{}
 	opts, dir := durableOptions(t, nil)
 	opts.Hook = probe.record
@@ -149,15 +150,19 @@ func TestCrashMidGroupCommitTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	from := -1
 	for _, op := range scenario() {
+		if op.name == "departmany" {
+			from = len(probe.points)
+		}
 		if err := op.run(c0); err != nil {
 			t.Fatalf("probe %s: %v", op.name, err)
 		}
 	}
 	c0.Close()
 	idx := -1
-	for i, p := range probe.points {
-		if p == "journal:staged" && i+1 < len(probe.points) && probe.points[i+1] == "departmany:journaled" {
+	for i := from; from >= 0 && i < len(probe.points); i++ {
+		if probe.points[i] == "journal:staged" && i+1 < len(probe.points) && probe.points[i+1] == "departmany:journaled" {
 			idx = i
 			break
 		}

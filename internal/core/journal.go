@@ -33,6 +33,8 @@ const (
 	recPlaceBegin
 	recPlaceCommit
 	recPlaceAbort
+	// Single-tenant departures: written by older controllers, now only
+	// replayed (as one-entry departMany transactions).
 	recDepartBegin
 	recDepartCommit
 	recDepartAbort
@@ -161,8 +163,7 @@ func (c *Controller) journalCommit(kind byte, payload any) error {
 // transaction's effects are silently lost.
 func txnBoundary(kind byte) bool {
 	switch kind {
-	case recProvisionBegin, recPlaceBegin, recDepartBegin,
-		recReconfigBegin, recDepartManyBegin:
+	case recProvisionBegin, recPlaceBegin, recReconfigBegin, recDepartManyBegin:
 		return false
 	}
 	return true

@@ -27,7 +27,6 @@ type replayState struct {
 	pendKind       byte
 	pendState      *stateRec
 	pendPlace      *placeRec
-	pendDepart     *departRec
 	pendDepartMany *departManyRec
 }
 
@@ -40,7 +39,7 @@ func newReplayState() *replayState {
 }
 
 func (s *replayState) clearPending() {
-	s.pendKind, s.pendState, s.pendPlace, s.pendDepart, s.pendDepartMany = 0, nil, nil, nil, nil
+	s.pendKind, s.pendState, s.pendPlace, s.pendDepartMany = 0, nil, nil, nil
 }
 
 // placed-set derivation modes for adoptState.
@@ -197,23 +196,13 @@ func (s *replayState) apply(rec []byte) error {
 		s.clearPending()
 
 	case recDepartBegin:
+		// A legacy single-tenant begin is a one-entry batch; its commit
+		// and abort share the batch cases below.
 		var d departRec
 		if err := json.Unmarshal(body, &d); err != nil {
 			return fmt.Errorf("core: replay depart begin: %w", err)
 		}
-		s.pendKind, s.pendDepart = kind, &d
-
-	case recDepartCommit:
-		if s.pendKind == recDepartBegin && s.pendDepart != nil {
-			t := s.pendDepart.Tenant
-			delete(s.sfcs, t)
-			delete(s.live, t)
-			delete(s.placed, t)
-		}
-		s.clearPending()
-
-	case recDepartAbort:
-		s.clearPending()
+		s.pendKind, s.pendDepartMany = recDepartManyBegin, &departManyRec{Entries: []departRec{d}}
 
 	case recDepartManyBegin:
 		var d departManyRec
@@ -222,7 +211,7 @@ func (s *replayState) apply(rec []byte) error {
 		}
 		s.pendKind, s.pendDepartMany = kind, &d
 
-	case recDepartManyCommit:
+	case recDepartManyCommit, recDepartCommit:
 		if s.pendKind == recDepartManyBegin && s.pendDepartMany != nil {
 			// A bare commit removes the whole batch; a commit carrying
 			// an abortRec removes only the listed tenants (the planner
@@ -247,7 +236,7 @@ func (s *replayState) apply(rec []byte) error {
 		}
 		s.clearPending()
 
-	case recDepartManyAbort:
+	case recDepartManyAbort, recDepartAbort:
 		s.clearPending()
 
 	default:

@@ -7,6 +7,7 @@ import (
 	"sfp/internal/faultnet"
 	"sfp/internal/p4rt"
 	"sfp/internal/vswitch"
+	"sfp/internal/wal"
 )
 
 // scenOp is one step of the convergence scenario. run executes it on a
@@ -294,8 +295,8 @@ func TestKillRestartConvergence(t *testing.T) {
 // record must, after recover+reconcile, have the tenant's rules back
 // (presumed abort), and the re-issued Depart must complete cleanly.
 func TestDepartCrashMidDeallocate(t *testing.T) {
-	// First find the hook index of "depart:deallocated" for a minimal
-	// provision+depart script.
+	// First find the hook index of "departmany:deallocated" (Depart is a
+	// one-tenant DepartMany) for a minimal provision+depart script.
 	prov := smallBatch(1, 3)
 	departT := prov[0].Tenant
 
@@ -313,9 +314,9 @@ func TestDepartCrashMidDeallocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Close()
-	idx := probe.index("depart:deallocated")
+	idx := probe.index("departmany:deallocated")
 	if idx < 0 {
-		t.Fatal("scenario never hit depart:deallocated")
+		t.Fatal("scenario never hit departmany:deallocated")
 	}
 
 	kill := faultnet.KillAt(idx)
@@ -333,8 +334,8 @@ func TestDepartCrashMidDeallocate(t *testing.T) {
 			t.Fatalf("depart: %v", err)
 		}
 	})
-	if crash == nil || crash.Point != "depart:deallocated" {
-		t.Fatalf("expected crash at depart:deallocated, got %+v", crash)
+	if crash == nil || crash.Point != "departmany:deallocated" {
+		t.Fatalf("expected crash at departmany:deallocated, got %+v", crash)
 	}
 	// The rules are gone from the surviving switch but the departure
 	// never committed.
@@ -399,6 +400,88 @@ func TestDepartWaitingTenant(t *testing.T) {
 	}
 	if c.WaitingCount() != 0 {
 		t.Fatalf("planner still tracks the departed waiting tenant (waiting=%d)", c.WaitingCount())
+	}
+}
+
+// TestRecoverLegacyDepartRecords: journals written before Depart became a
+// one-tenant DepartMany carry single-tenant depart records. Replay folds
+// them into the batch case: a committed legacy departure removes the
+// tenant, while a dangling begin (presumed abort) or an aborted one keeps
+// it placed.
+func TestRecoverLegacyDepartRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		kinds    []byte // legacy records appended after the provision
+		departed bool
+	}{
+		{"committed", []byte{recDepartBegin, recDepartCommit}, true},
+		{"dangling", []byte{recDepartBegin}, false},
+		{"aborted", []byte{recDepartBegin, recDepartAbort}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts, dir := durableOptions(t, nil)
+			c, err := Recover(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Provision(smallBatch(1, 3)); err != nil {
+				t.Fatal(err)
+			}
+			placed := sortedKeys(c.placed)
+			if len(placed) == 0 {
+				t.Fatal("provision placed nothing")
+			}
+			victim := placed[0]
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			log, _, err := wal.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range tc.kinds {
+				var payload any
+				if kind == recDepartBegin {
+					payload = &departRec{Tenant: victim, Placed: true}
+				}
+				rec, err := encodeRec(kind, payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := log.AppendCommit(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			r, err := Recover(dir, opts)
+			if err != nil {
+				t.Fatalf("recover: %v", err)
+			}
+			defer r.Close()
+			if r.Known(victim) == tc.departed {
+				t.Fatalf("tenant %d known=%v after replay, want departed=%v", victim, r.Known(victim), tc.departed)
+			}
+			if _, err := r.Reconcile(); err != nil {
+				t.Fatal(err)
+			}
+			if rep, err := r.Reconcile(); err != nil || !rep.Clean() {
+				t.Fatalf("drift after reconcile: %+v, %v", rep, err)
+			}
+			want := len(placed)
+			if tc.departed {
+				want--
+			}
+			if got := len(r.PlacedTenants()); got != want {
+				t.Fatalf("%d tenants placed after recovery, want %d", got, want)
+			}
+			if installed := r.VSwitch().Allocations(victim) != nil; installed == tc.departed {
+				t.Fatalf("tenant %d installed=%v after reconcile, want departed=%v", victim, installed, tc.departed)
+			}
+		})
 	}
 }
 

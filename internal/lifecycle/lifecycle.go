@@ -339,10 +339,10 @@ func (h expiryHeap) Less(i, j int) bool {
 	}
 	return h[i].tenant < h[j].tenant // deterministic tie-break
 }
-func (h expiryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *expiryHeap) Push(x any)        { *h = append(*h, x.(expiry)) }
-func (h *expiryHeap) Pop() any          { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h expiryHeap) peek() expiry       { return h[0] }
+func (h expiryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *expiryHeap) Push(x any)   { *h = append(*h, x.(expiry)) }
+func (h *expiryHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
+func (h expiryHeap) peek() expiry  { return h[0] }
 
 // Report is what one churn run measured.
 type Report struct {

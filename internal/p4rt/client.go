@@ -110,8 +110,8 @@ type Client struct {
 	// bufs pools marshal buffers: one frame assembly per call, reused.
 	bufs sync.Pool
 
-	asyncWG sync.WaitGroup
-	asyncMu sync.Mutex
+	asyncWG  sync.WaitGroup
+	asyncMu  sync.Mutex
 	asyncErr error
 }
 

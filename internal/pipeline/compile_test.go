@@ -124,7 +124,7 @@ func genEquivPackets(seed int64, n int) []*packet.Packet {
 	pkts := make([]*packet.Packet, n)
 	for i := range pkts {
 		pkts[i] = packet.NewBuilder().
-			WithTenant(uint32(1 + rng.Intn(4))).
+			WithTenant(uint32(1+rng.Intn(4))).
 			WithIPv4(packet.IPv4Addr(10, 0, 0, byte(rng.Intn(8))), packet.IPv4Addr(10, 0, 0, byte(rng.Intn(8)))).
 			WithTCP(uint16(1000+rng.Intn(8)), uint16(1+rng.Intn(8))).
 			Build()

@@ -153,7 +153,7 @@ func TestDeleteTenant(t *testing.T) {
 	if err := tbl.Insert(r); err == nil {
 		t.Error("an installed rule was inserted again")
 	}
-	if freed := tbl.DeleteTenants(map[uint32]bool{2: true, 3: true}); freed != 4 || tbl.Used() != 0 {
+	if freed := tbl.DeleteTenant(2) + tbl.DeleteTenant(3); freed != 4 || tbl.Used() != 0 {
 		t.Errorf("freed = %d, used = %d; want 4, 0", freed, tbl.Used())
 	}
 	mustInsert(t, tbl, r)

@@ -39,7 +39,7 @@ func TestConcurrentProcess(t *testing.T) {
 			defer wg.Done()
 			var ctx Context
 			p := packet.NewBuilder().
-				WithTenant(uint32(1 + w%16)).
+				WithTenant(uint32(1+w%16)).
 				WithIPv4(packet.IPv4Addr(10, 0, 0, byte(w+1)), packet.IPv4Addr(10, 0, 0, 1)).
 				WithTCP(uint16(1000+w), 80).
 				Build()

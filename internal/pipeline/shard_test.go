@@ -98,7 +98,7 @@ func TestShardedLookupMatchesReference(t *testing.T) {
 		}
 		for probe := 0; probe < 300; probe++ {
 			p := packet.NewBuilder().
-				WithTenant(uint32(1 + rng.Intn(tenants))).
+				WithTenant(uint32(1+rng.Intn(tenants))).
 				WithIPv4(rng.Uint32(), rng.Uint32()).
 				WithTCP(uint16(rng.Intn(65536)), uint16(rng.Intn(65536))).
 				Build()
@@ -194,7 +194,7 @@ func TestShardedLookupAfterDeleteTenant(t *testing.T) {
 	}
 	for probe := 0; probe < 500; probe++ {
 		p := packet.NewBuilder().
-			WithTenant(uint32(1 + rng.Intn(20))).
+			WithTenant(uint32(1+rng.Intn(20))).
 			WithIPv4(rng.Uint32(), rng.Uint32()).
 			Build()
 		got := tbl.Lookup(p)

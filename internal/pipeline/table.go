@@ -288,28 +288,13 @@ func exactValuesEqual(a, b *Rule) bool {
 	return true
 }
 
-// DeleteTenant removes every rule owned by the tenant and returns how many
-// entries were freed. Only the departing tenant's rules and index entries
-// are visited, so churn cost is proportional to the departing tenant's
-// rules, not the table size.
+// DeleteTenant removes every rule owned by the tenant from the owner
+// index and the lookup structures, and returns how many entries were
+// freed. Only the departing tenant's rules and index entries are visited,
+// so churn cost is proportional to the departing tenant's rules, not the
+// table size. The other tenants' shards and exact buckets are left alone,
+// and the relative order of the surviving rules is unchanged.
 func (t *Table) DeleteTenant(tenant uint32) int {
-	return t.unindexTenant(tenant)
-}
-
-// DeleteTenants removes every rule owned by any tenant in the set and
-// returns how many entries were freed, visiting only those tenants' rules.
-func (t *Table) DeleteTenants(tenants map[uint32]bool) int {
-	freed := 0
-	for tenant := range tenants {
-		freed += t.unindexTenant(tenant)
-	}
-	return freed
-}
-
-// unindexTenant removes one tenant's rules from the owner index and the
-// lookup structures. The other tenants' shards and exact buckets are left
-// alone, and the relative order of the surviving rules is unchanged.
-func (t *Table) unindexTenant(tenant uint32) int {
 	freed := 0
 	for r := t.owned[tenant]; r != nil && r != endOfOwned; {
 		switch {

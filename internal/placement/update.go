@@ -170,12 +170,6 @@ func (u *Updater) admit(id int, stages []int) {
 	u.admitted = append(u.admitted, id)
 }
 
-// unaccount takes a departing live chain off the retained accounts.
-func (u *Updater) unaccount(c *model.Chain, stages []int) {
-	u.greedy.release(c, stages)
-	u.ledger.Remove(c, stages)
-}
-
 func (u *Updater) addID(id int) {
 	i := sort.SearchInts(u.ids, id)
 	u.ids = append(u.ids, 0)
@@ -231,33 +225,13 @@ func (u *Updater) Layout() [][]bool {
 	return out
 }
 
-// Depart removes a tenant: its rules disappear from the data plane and its
-// resources become available to future Replan calls.
+// Depart removes a live tenant: its resources become available to future
+// Replan calls. It is Withdraw restricted to live chains.
 func (u *Updater) Depart(id int) error {
-	st, ok := u.live[id]
-	if !ok {
+	if _, ok := u.live[id]; !ok {
 		return fmt.Errorf("placement: chain %d is not live", id)
 	}
-	c := u.chains[id]
-	u.unaccount(c, st)
-	delete(u.live, id)
-	delete(u.chains, id)
-	u.dropID(id)
-	if u.fast != nil {
-		// Patch the retained program: an in-model (admitted-this-program)
-		// chain's block is zeroed; a folded survivor's consumption returns
-		// to the RHS. The basis keeps its shape, so the next solve still
-		// warm-starts.
-		var err error
-		if u.fast.resid.Has(id) {
-			err = u.fast.resid.Kill(id)
-		} else {
-			err = u.fast.resid.ReleaseFolded(c, st)
-		}
-		if err != nil {
-			u.fast = nil // desync: rebuild lazily on the next replan
-		}
-	}
+	u.Withdraw(id)
 	return nil
 }
 
@@ -300,10 +274,15 @@ func (u *Updater) Withdraw(id int) {
 		return
 	}
 	if wasLive {
-		u.unaccount(c, st)
+		u.greedy.release(c, st)
+		u.ledger.Remove(c, st)
 	}
 	u.dropID(id)
 	if u.fast != nil {
+		// Patch the retained program: an in-model (admitted-this-program)
+		// chain's block is zeroed; a folded survivor's consumption returns
+		// to the RHS. The basis keeps its shape, so the next solve still
+		// warm-starts.
 		var err error
 		if u.fast.resid.Has(id) {
 			err = u.fast.resid.Kill(id)
@@ -311,7 +290,7 @@ func (u *Updater) Withdraw(id int) {
 			err = u.fast.resid.ReleaseFolded(c, st)
 		}
 		if err != nil {
-			u.fast = nil
+			u.fast = nil // desync: rebuild lazily on the next replan
 		}
 	}
 }

@@ -2,6 +2,7 @@ package vswitch
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -139,5 +140,75 @@ func TestAllocateBatchAfterExistingTenants(t *testing.T) {
 		if err := v.Deallocate(tenant); err != nil {
 			t.Errorf("deallocate %d: %v", tenant, err)
 		}
+	}
+}
+
+// fiveTenants installs tenants 1..5 with distinct bandwidths, so the order
+// bandwidth is released in shows in the float sum.
+func fiveTenants(t *testing.T) *VSwitch {
+	t.Helper()
+	v := fig3Switch(t)
+	for tenant := uint32(1); tenant <= 5; tenant++ {
+		sfc, pls := batchChain(tenant, 0.1*float64(tenant)+1.7)
+		if _, err := v.AllocateAt(sfc, pls); err != nil {
+			t.Fatalf("tenant %d: %v", tenant, err)
+		}
+	}
+	return v
+}
+
+func TestDeallocateBatchMatchesSequential(t *testing.T) {
+	victims := []uint32{4, 1, 3}
+	seq := fiveTenants(t)
+	for _, tenant := range victims {
+		if err := seq.Deallocate(tenant); err != nil {
+			t.Fatalf("sequential tenant %d: %v", tenant, err)
+		}
+	}
+	bat := fiveTenants(t)
+	if err := bat.DeallocateBatch(victims); err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if !reflect.DeepEqual(bat.ExportState(), seq.ExportState()) {
+		t.Error("switch states diverge between DeallocateBatch and sequential Deallocate")
+	}
+	if bat.BandwidthUsed() != seq.BandwidthUsed() {
+		t.Errorf("bandwidth: seq %v, batch %v", seq.BandwidthUsed(), bat.BandwidthUsed())
+	}
+	if bat.Pipe.EntriesUsed() != seq.Pipe.EntriesUsed() {
+		t.Errorf("entries: seq %d, batch %d", seq.Pipe.EntriesUsed(), bat.Pipe.EntriesUsed())
+	}
+	if bat.Tenants() != 2 {
+		t.Errorf("tenants = %d, want 2", bat.Tenants())
+	}
+}
+
+func TestDeallocateBatchAllOrNothing(t *testing.T) {
+	v := fiveTenants(t)
+	before := v.ExportState()
+	bw, entries := v.BandwidthUsed(), v.Pipe.EntriesUsed()
+	for _, batch := range [][]uint32{
+		{2, 99},    // unknown tenant after a valid one
+		{2, 3, 2},  // duplicated tenant
+		{99},       // unknown tenant alone
+		{5, 4, 42}, // unknown tenant last
+	} {
+		if err := v.DeallocateBatch(batch); err == nil {
+			t.Fatalf("batch %v accepted", batch)
+		}
+		if !reflect.DeepEqual(v.ExportState(), before) {
+			t.Fatalf("rejected batch %v mutated the switch", batch)
+		}
+		if v.BandwidthUsed() != bw || v.Pipe.EntriesUsed() != entries {
+			t.Fatalf("rejected batch %v changed bandwidth %v -> %v or entries %d -> %d",
+				batch, bw, v.BandwidthUsed(), entries, v.Pipe.EntriesUsed())
+		}
+	}
+	// And a valid batch still drains every tenant.
+	if err := v.DeallocateBatch([]uint32{5, 4, 3, 2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if v.Tenants() != 0 || v.BandwidthUsed() != 0 {
+		t.Errorf("%d tenants, %v Gbps left", v.Tenants(), v.BandwidthUsed())
 	}
 }

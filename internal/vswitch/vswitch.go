@@ -465,45 +465,31 @@ func catchAllRule(tenant uint32, pl Placement) *pipeline.Rule {
 // Deallocate removes a tenant's rules from every table and releases its
 // backplane bandwidth (§IV "(De)allocate Logical NFs", §V-E departures).
 func (v *VSwitch) Deallocate(tenant uint32) error {
-	alloc, ok := v.byTenant[tenant]
-	if !ok {
-		return fmt.Errorf("vswitch: tenant %d has no allocation", tenant)
-	}
-	for _, stage := range v.Pipe.Stages {
-		for _, t := range stage.Tables {
-			t.DeleteTenant(tenant)
-		}
-	}
-	v.bandwidth.Add(-float64(alloc.Passes) * alloc.BandwidthGbps)
-	delete(v.byTenant, tenant)
-	return nil
+	return v.DeallocateBatch([]uint32{tenant})
 }
 
-// DeallocateBatch removes a batch of tenants in one pass over every table,
-// so a batch of N departures costs one rules scan per table instead of N.
-// The batch is all-or-nothing: every tenant is validated (allocated, no
+// DeallocateBatch removes a batch of tenants, in order, and releases their
+// bandwidth. Each table visits only the departing tenants' rules. The
+// batch is all-or-nothing: every tenant is validated (allocated, no
 // duplicates) before any rule is touched, so an error leaves the switch
 // unchanged.
 func (v *VSwitch) DeallocateBatch(tenants []uint32) error {
-	if len(tenants) == 0 {
-		return nil
-	}
-	set := make(map[uint32]bool, len(tenants))
+	seen := make(map[uint32]bool, len(tenants))
 	for _, tn := range tenants {
 		if _, ok := v.byTenant[tn]; !ok {
 			return fmt.Errorf("vswitch: tenant %d has no allocation", tn)
 		}
-		if set[tn] {
+		if seen[tn] {
 			return fmt.Errorf("vswitch: tenant %d duplicated in batch", tn)
 		}
-		set[tn] = true
-	}
-	for _, stage := range v.Pipe.Stages {
-		for _, t := range stage.Tables {
-			t.DeleteTenants(set)
-		}
+		seen[tn] = true
 	}
 	for _, tn := range tenants {
+		for _, stage := range v.Pipe.Stages {
+			for _, t := range stage.Tables {
+				t.DeleteTenant(tn)
+			}
+		}
 		alloc := v.byTenant[tn]
 		v.bandwidth.Add(-float64(alloc.Passes) * alloc.BandwidthGbps)
 		delete(v.byTenant, tn)

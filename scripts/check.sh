@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: vet, build, and the full test suite under the race
-# detector. CI and pre-merge checks run exactly this script.
+# Tier-1 verification: gofmt, vet, build, and the full test suite under the
+# race detector. CI and pre-merge checks run exactly this script.
 #
-#   scripts/check.sh         vet (this module and the cmd/sfpbench module)
-#                            + build + race tests
+#   scripts/check.sh         gofmt + vet (this module and the cmd/sfpbench
+#                            module) + build + race tests
 #   scripts/check.sh recover durability suite under -race: WAL corruption
 #                            tests, codec fuzz corpus replay, and the
 #                            kill/restart convergence suite (controller
@@ -18,7 +18,7 @@ if [[ "${1:-}" == "recover" ]]; then
     echo "== go test -race (WAL corruption + recovery)"
     go test -race -v ./internal/wal/
     echo "== go test -race (kill/restart convergence suite)"
-    go test -race -v -run 'TestRecover|TestJournalFullScenario|TestKillRestartConvergence|TestDepart|TestReconcile' ./internal/core/
+    go test -race -v -run 'TestRecover|TestJournalFullScenario|TestKillRestartConvergence|TestDepart|TestReconcile|TestReplayDepartManyPartialCommit|TestCrashMidGroupCommitTornTail|TestOffLockSnapshotRotation' ./internal/core/
     echo "== go test (codec fuzz corpus replay)"
     go test -run 'Fuzz|TestSkipValueDepthGuard' ./internal/p4rt/
     echo "== recovery checks passed"
@@ -27,6 +27,14 @@ fi
 if [[ $# -gt 0 ]]; then
     echo "usage: scripts/check.sh [recover]" >&2
     exit 2
+fi
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt needed on:" >&2
+    echo "$unformatted" >&2
+    exit 1
 fi
 
 echo "== go vet ./..."
