@@ -71,9 +71,9 @@ type Options struct {
 	SolverTimeLimit time.Duration
 	// SolverWorkers sets the control-plane solver worker count:
 	// branch-and-bound workers for exact IP solves and replans, pricing
-	// workers for decomposed full solves. 0 or 1 is the serial
-	// deterministic reference; any count proves the same optimum, but
-	// when optima tie the parallel search may return a different argmax.
+	// workers for decomposed full solves. 0 means 1. 1 = one worker, the
+	// node order the goldens pin; any count proves the same optimum,
+	// argmax may differ.
 	SolverWorkers int
 	// DecomposeAbove routes full solves (Provision with AlgoIP and
 	// ReconfigureIfStale's re-optimization) to the Lagrangian decomposition

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 	"time"
 
 	"sfp/internal/lp"
@@ -99,12 +100,10 @@ type Options struct {
 	LPOpts lp.Options
 	// Trace, if set, receives one diagnostic line per explored node.
 	Trace io.Writer
-	// Workers sets the number of concurrent branch-and-bound workers.
-	// 0 or 1 runs the serial engine, which reproduces the pre-parallel node
-	// order and result bit for bit; n > 1 explores the tree with n workers
-	// sharing the incumbent and a best-bound node queue (same optimum, node
-	// order may differ). Callers wanting "all cores" pass
-	// runtime.GOMAXPROCS(0) themselves.
+	// Workers sets the number of concurrent branch-and-bound workers
+	// (0 means 1). 1 = one worker, the node order the goldens pin; any
+	// count proves the same optimum, argmax may differ. Callers wanting
+	// "all cores" pass runtime.GOMAXPROCS(0) themselves.
 	Workers int
 	// WarmBasis warm-starts the ROOT LP relaxation from a prior solve's
 	// optimal basis (cross-replan warm start: successive replans of a
@@ -136,6 +135,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RelGap == 0 {
 		o.RelGap = 1e-6
+	}
+	if o.Workers < 1 {
+		o.Workers = 1
 	}
 	return o
 }
@@ -205,326 +207,444 @@ func (h *nodeHeap) Pop() any {
 	return it
 }
 
-// Solve runs branch and bound.
+// Solve runs branch and bound on Options.Workers goroutines (at least one).
+// The workers share one incumbent, one best-bound node heap and one dive
+// stack behind a mutex; node LPs and primal heuristics, the expensive part,
+// run outside the lock. One worker has no peers, so its node order is fixed;
+// more workers race for nodes and prove the same optimum in another order.
 func Solve(p *Problem, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	// Build the shared CSC form once, up front: every node LP clone reuses
-	// it, and parallel workers must not race to create their own.
+	// it, and workers must not race to create their own.
 	p.LP.Presparse()
-	if opts.Workers > 1 {
-		return solveParallel(p, opts)
+	st := &search{
+		p:         p,
+		opts:      opts,
+		start:     time.Now(),
+		isCeilVar: make(map[int]bool, len(opts.CeilVars)),
+		res:       &Result{Status: Limit, Objective: math.Inf(-1), Bound: math.Inf(1)},
+		open:      &nodeHeap{},
+		dive:      []*node{{bound: math.Inf(1)}},
+		inflight:  make(map[int]float64),
+		lostBound: math.Inf(-1),
 	}
-	start := time.Now()
-	deadline := time.Time{}
+	st.cond = sync.NewCond(&st.mu)
 	if opts.TimeLimit > 0 {
-		deadline = start.Add(opts.TimeLimit)
+		st.deadline = st.start.Add(opts.TimeLimit)
 	}
-
-	isInt := make(map[int]bool, len(p.IntVars))
-	for _, v := range p.IntVars {
-		isInt[v] = true
-	}
-	isCeilVar := make(map[int]bool, len(opts.CeilVars))
 	for _, v := range opts.CeilVars {
-		isCeilVar[v] = true
+		st.isCeilVar[v] = true
 	}
-
-	res := &Result{Status: Limit, Objective: math.Inf(-1), Bound: math.Inf(1)}
 	if opts.BoundCap > 0 {
-		res.Bound = opts.BoundCap
+		st.res.Bound = opts.BoundCap
 	}
-	var bestX []float64
-
-	accept := func(obj float64, x []float64) {
-		if obj <= res.Objective {
-			return
-		}
-		res.Objective = obj
-		bestX = append(bestX[:0], x...)
-		res.Incumbents = append(res.Incumbents, Incumbent{Objective: obj, Elapsed: time.Since(start)})
-		if opts.OnIncumbent != nil {
-			opts.OnIncumbent(obj, x)
-		}
+	if ws := opts.WarmStart; ws != nil && st.integralFeasible(ws) {
+		st.accept(p.LP.Eval(ws), ws)
 	}
 
-	if ws := opts.WarmStart; ws != nil && p.LP.Feasible(ws, 1e-7) {
-		integral := true
-		for _, v := range p.IntVars {
-			if math.Abs(ws[v]-math.Round(ws[v])) > opts.IntTol {
-				integral = false
-				break
-			}
-		}
-		if integral {
-			accept(p.LP.Eval(ws), ws)
-		}
+	var wg sync.WaitGroup
+	for w := 0; w < opts.Workers; w++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			st.worker(id)
+		}(w)
 	}
+	wg.Wait()
+	if st.err != nil {
+		return nil, st.err
+	}
+	return st.result(), nil
+}
 
-	open := &nodeHeap{}
-	heap.Init(open)
-	// Until the first incumbent exists, the search dives depth-first (LIFO
-	// stack): best-bound alone wanders breadth-wise and can fail to produce
+// search is the state the workers share. Every field below mu is guarded
+// by it; the fields above are fixed before the workers start.
+type search struct {
+	p         *Problem
+	opts      Options
+	start     time.Time
+	deadline  time.Time // zero without a TimeLimit
+	isCeilVar map[int]bool
+
+	mu sync.Mutex
+	// cond wakes workers waiting for a node: a worker that finds both
+	// queues empty must still wait while any peer is in flight, since that
+	// peer may push children.
+	cond *sync.Cond
+	open *nodeHeap
+	// dive is a LIFO stack searched depth-first until the first incumbent
+	// exists: best-bound alone wanders breadth-wise and can fail to produce
 	// any integer-feasible point under a time limit. Once an incumbent is
 	// found the stack drains into the best-bound heap.
-	dive := []*node{{bound: math.Inf(1)}}
-	rootInfeasible := false
-	dropped := false
-	// lostBound is the best bound among dropped (unexplorable) nodes: their
-	// subtrees were never searched, so the proven upper bound can never fall
-	// below it — without this, dropping the right nodes would let the
-	// remaining tree "prove" a false optimum.
-	lostBound := math.Inf(-1)
-	explored := 0
-	// decided marks a break that already fixed the final status (limit hit or
-	// certified optimum). The exhausted-tree classification below must only
-	// run on natural loop exit: a deadline break can pop the last queued node
-	// and leave both queues empty with that node's subtree unexplored, which
-	// an unconditional emptiness check would misread as a completed search —
-	// and promote a time-limited incumbent to a false "optimal".
-	decided := false
+	dive []*node
+	// inflight maps worker id -> bound of the node it is solving, so the
+	// proven bound accounts for nodes popped but not yet expanded.
+	inflight map[int]float64
 
-	for open.Len() > 0 || len(dive) > 0 {
-		if explored >= opts.MaxNodes {
-			res.Status = statusOnLimit(bestX)
-			decided = true
-			break
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			res.Status = statusOnLimit(bestX)
-			decided = true
-			break
-		}
-		if bestX != nil && len(dive) > 0 {
-			for _, nd := range dive {
-				heap.Push(open, nd)
-			}
-			dive = dive[:0]
-			continue
-		}
-		var nd *node
-		if len(dive) > 0 {
-			nd = dive[len(dive)-1]
-			dive = dive[:len(dive)-1]
-		} else {
-			nd = heap.Pop(open).(*node)
-			// Global bound = best open node bound (max-heap root).
-			if nd.bound < res.Bound {
-				res.Bound = nd.bound
-			}
-		}
-		// Effective proven bound: the live frontier (folding in
-		// Options.BoundCap via res.Bound), floored by dropped subtrees —
-		// unless the external cap alone certifies the incumbent, which it
-		// does regardless of what the tree lost.
-		eff := math.Max(lostBound, math.Min(nd.bound, res.Bound))
-		if opts.BoundCap > 0 {
-			eff = math.Min(eff, opts.BoundCap)
-		}
-		if bestX != nil && eff <= res.Objective+opts.RelGap*math.Abs(res.Objective)+opts.IntTol {
-			res.Status = Optimal
-			decided = true
-			break
-		}
-		explored++
+	res            *Result
+	bestX          []float64
+	explored       int
+	rootInfeasible bool
+	// dropped records that some node was abandoned unexplored (its LP hit
+	// the pivot cap or the deadline). lostBound is the best bound among
+	// those nodes: their subtrees were never searched, so the proven upper
+	// bound can never fall below it. Without it, dropping the right nodes
+	// would let the remaining tree "prove" a false optimum.
+	dropped   bool
+	lostBound float64
+	// stopped marks a halt that already fixed the final status (limit hit
+	// or certified optimum). The tree-exhausted classification in result
+	// runs only when the queues drained naturally: a deadline halt can pop
+	// the last queued node and leave both queues empty with that node's
+	// subtree unexplored, which an emptiness check alone would misread as
+	// a completed search, promoting a time-limited incumbent to a false
+	// "optimal".
+	stopped bool
+	err     error
+}
 
-		// Build and solve the node LP.
-		q := p.LP.Clone()
-		for _, ch := range nd.changes {
-			q.SetBounds(ch.v, ch.lo, ch.hi)
+// integralFeasible reports whether a WarmStart or Heuristic candidate
+// satisfies every row, every bound and integrality.
+func (st *search) integralFeasible(x []float64) bool {
+	if !st.p.LP.Feasible(x, 1e-7) {
+		return false
+	}
+	for _, v := range st.p.IntVars {
+		if math.Abs(x[v]-math.Round(x[v])) > st.opts.IntTol {
+			return false
 		}
-		lpOpts := opts.LPOpts
-		if nd.depth == 0 && opts.WarmBasis != nil {
-			lpOpts.WarmBasis = opts.WarmBasis
+	}
+	return true
+}
+
+// accept records an improving incumbent. Callers must hold st.mu (or be the
+// single pre-worker goroutine).
+func (st *search) accept(obj float64, x []float64) {
+	if obj <= st.res.Objective {
+		return
+	}
+	st.res.Objective = obj
+	st.bestX = append(st.bestX[:0], x...)
+	st.res.Incumbents = append(st.res.Incumbents, Incumbent{Objective: obj, Elapsed: time.Since(st.start)})
+	if st.opts.OnIncumbent != nil {
+		st.opts.OnIncumbent(obj, x)
+	}
+}
+
+func (st *search) pastDeadline() bool {
+	return !st.deadline.IsZero() && time.Now().After(st.deadline)
+}
+
+// stop halts the search: the global bound is tightened with everything
+// still queued or in flight. Callers must hold st.mu; the worker's
+// broadcast after the step releases the waiting peers.
+func (st *search) stop(status Status) {
+	if st.stopped {
+		return
+	}
+	st.stopped = true
+	st.res.Status = status
+	bound := st.res.Objective // -Inf until an incumbent exists
+	for _, nd := range *st.open {
+		bound = math.Max(bound, nd.bound)
+	}
+	for _, nd := range st.dive {
+		bound = math.Max(bound, nd.bound)
+	}
+	for _, b := range st.inflight {
+		bound = math.Max(bound, b)
+	}
+	if bound < st.res.Bound {
+		st.res.Bound = bound
+	}
+}
+
+// drop abandons a node whose subtree stays unexplored. Callers must hold
+// st.mu.
+func (st *search) drop(nd *node) {
+	st.dropped = true
+	st.lostBound = math.Max(st.lostBound, nd.bound)
+}
+
+func (st *search) worker(id int) {
+	st.mu.Lock()
+	for more := true; more; {
+		more = st.step(id)
+		// The step may have queued children or left inflight: wake peers
+		// waiting on either.
+		st.cond.Broadcast()
+	}
+	st.mu.Unlock()
+}
+
+// pop returns the next node to expand, waiting while both queues are empty
+// but a peer is in flight. It returns nil once the search is over. Callers
+// must hold st.mu.
+func (st *search) pop() *node {
+	for !st.stopped && st.err == nil {
+		if st.bestX != nil && len(st.dive) > 0 {
+			for _, d := range st.dive {
+				heap.Push(st.open, d)
+			}
+			st.dive = st.dive[:0]
 		}
-		// The node LP inherits the remaining wall-clock budget: a solve the
-		// deadline interrupts comes back IterLimit and is dropped like any
-		// unexplorable node, so one huge LP cannot overshoot the TimeLimit.
-		if lpOpts.Deadline.IsZero() {
-			lpOpts.Deadline = deadline
+		if len(st.dive) > 0 {
+			nd := st.dive[len(st.dive)-1]
+			st.dive = st.dive[:len(st.dive)-1]
+			return nd
 		}
-		sol, err := q.Solve(lpOpts)
-		if err != nil {
-			return nil, err
+		if st.open.Len() > 0 {
+			nd := heap.Pop(st.open).(*node)
+			if len(st.inflight) == 0 && nd.bound < st.res.Bound {
+				// Only safe when nothing is in flight: an in-flight
+				// node may still push children with larger bounds.
+				st.res.Bound = nd.bound
+			}
+			return nd
 		}
+		if len(st.inflight) == 0 {
+			return nil // tree exhausted
+		}
+		st.cond.Wait()
+	}
+	return nil
+}
+
+// step pops one node and expands it. It is called and returns with st.mu
+// held, releasing it around the node LP and the primal heuristics, and
+// reports whether the worker should go on.
+func (st *search) step(id int) bool {
+	p, opts := st.p, st.opts
+	nd := st.pop()
+	if nd == nil {
+		return false
+	}
+	if st.explored >= opts.MaxNodes || st.pastDeadline() {
+		heap.Push(st.open, nd) // keep its bound visible to stop's sweep
+		st.stop(statusOnLimit(st.bestX))
+		return false
+	}
+	// Effective proven bound: the live frontier (folding in
+	// Options.BoundCap via res.Bound), floored by dropped subtrees, unless
+	// the external cap alone certifies the incumbent, which it does
+	// regardless of what the tree lost. nd is only the best queued node; a
+	// peer may be mid-LP on a node with a larger bound whose children are
+	// not pushed yet, so the frontier covers in-flight nodes too.
+	frontier := nd.bound
+	for _, b := range st.inflight {
+		frontier = math.Max(frontier, b)
+	}
+	eff := math.Max(st.lostBound, math.Min(frontier, st.res.Bound))
+	if opts.BoundCap > 0 {
+		eff = math.Min(eff, opts.BoundCap)
+	}
+	if st.bestX != nil && eff <= st.res.Objective+opts.RelGap*math.Abs(st.res.Objective)+opts.IntTol {
+		heap.Push(st.open, nd)
+		st.stop(Optimal)
+		return false
+	}
+	st.explored++
+	nodeID := st.explored
+	st.inflight[id] = nd.bound
+	hadIncumbent := st.bestX != nil
+	st.mu.Unlock()
+
+	q := p.LP.Clone()
+	for _, ch := range nd.changes {
+		q.SetBounds(ch.v, ch.lo, ch.hi)
+	}
+	lpOpts := opts.LPOpts
+	if nd.depth == 0 && opts.WarmBasis != nil {
+		lpOpts.WarmBasis = opts.WarmBasis
+	}
+	// The node LP inherits the remaining wall-clock budget: a solve the
+	// deadline interrupts comes back IterLimit and is dropped like any
+	// unexplorable node, so one huge LP cannot overshoot the TimeLimit.
+	if lpOpts.Deadline.IsZero() {
+		lpOpts.Deadline = st.deadline
+	}
+	sol, err := q.Solve(lpOpts)
+
+	st.mu.Lock()
+	delete(st.inflight, id)
+	if err != nil {
+		if st.err == nil {
+			st.err = err
+		}
+		return false
+	}
+	if nd.depth == 0 {
+		st.res.RootBasis = sol.Basis
+		st.res.RootWarmed = sol.Warm
+	}
+	if st.pastDeadline() {
+		// The in-hand node left inflight above, so stop's sweep no longer
+		// sees its bound; its subtree is unexplored, so it joins lostBound
+		// like any dropped node.
+		st.drop(nd)
+		st.stop(statusOnLimit(st.bestX))
+		return false
+	}
+	switch sol.Status {
+	case lp.Infeasible:
 		if nd.depth == 0 {
-			res.RootBasis = sol.Basis
-			res.RootWarmed = sol.Warm
+			st.rootInfeasible = true
 		}
-		// Enforce the deadline on the LP result: the in-hand node's subtree
-		// is unexplored, so it joins lostBound like any dropped node before
-		// the limit status is returned.
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			dropped = true
-			lostBound = math.Max(lostBound, nd.bound)
-			res.Status = statusOnLimit(bestX)
-			decided = true
-			break
+		return true
+	case lp.Unbounded:
+		if st.err == nil {
+			st.err = fmt.Errorf("ilp: LP relaxation unbounded")
 		}
-		switch sol.Status {
-		case lp.Infeasible:
-			if nd.depth == 0 {
-				rootInfeasible = true
-			}
-			continue
-		case lp.Unbounded:
-			return nil, fmt.Errorf("ilp: LP relaxation unbounded")
-		case lp.IterLimit:
-			// Unexplorable within the pivot or wall-clock budget; drop the
-			// node conservatively. Its parent bound joins lostBound so the
-			// abandoned subtree keeps weakening the proven bound.
-			dropped = true
-			lostBound = math.Max(lostBound, nd.bound)
-			continue
-		}
-		if sol.Objective <= res.Objective+opts.IntTol {
-			continue // pruned by bound
-		}
+		return false
+	case lp.IterLimit:
+		// Unexplorable within the pivot or wall-clock budget.
+		st.drop(nd)
+		return true
+	}
+	if sol.Objective <= st.res.Objective+opts.IntTol {
+		return true // pruned by bound
+	}
 
-		// Pick the branch variable: the first fractional priority variable,
-		// else the most fractional non-auxiliary integer variable.
-		branchVar := -1
-		for _, v := range opts.PriorityVars {
-			f := sol.X[v] - math.Floor(sol.X[v])
-			if math.Min(f, 1-f) > opts.IntTol {
-				branchVar = v
+	branchVar := st.branchVar(sol.X)
+	if opts.Trace != nil {
+		frac := -1.0
+		if branchVar >= 0 {
+			frac = fractionality(sol.X[branchVar])
+		}
+		fmt.Fprintf(opts.Trace, "node=%d depth=%d lp=%v obj=%.3f branch=%d frac=%.3f iters=%d\n",
+			nodeID, nd.depth, sol.Status, sol.Objective, branchVar, frac, sol.Iters)
+	}
+	if branchVar == -1 {
+		// All decision variables integral. Complete the ceiling-defined
+		// auxiliaries by rounding up.
+		cand := append([]float64(nil), sol.X...)
+		ok := true
+		for _, v := range opts.CeilVars {
+			up := math.Ceil(cand[v] - opts.IntTol)
+			if _, hi := q.Bounds(v); up > hi+opts.IntTol {
+				ok = false
 				break
 			}
+			cand[v] = up
 		}
+		if ok && p.LP.Feasible(cand, 1e-7) {
+			st.accept(p.LP.Eval(cand), cand)
+			return true
+		}
+		// The rounded completion is infeasible: ceiling variables couple
+		// through shared rows (per-stage block budgets), so rounding them
+		// all up can overrun a budget even though each alone is fine. The
+		// node's subproblem may still contain integral points with other
+		// decision values, so branch on the most fractional ceiling
+		// variable rather than dropping the subtree.
+		branchVar = mostFractional(sol.X, opts.CeilVars, nil, opts.IntTol)
 		if branchVar == -1 {
-			worst := opts.IntTol
-			for _, v := range p.IntVars {
-				if isCeilVar[v] {
-					continue
-				}
-				f := sol.X[v] - math.Floor(sol.X[v])
-				frac := math.Min(f, 1-f)
-				if frac > worst {
-					worst, branchVar = frac, v
-				}
-			}
-		}
-		if opts.Trace != nil {
-			frac := -1.0
-			if branchVar >= 0 {
-				f := sol.X[branchVar] - math.Floor(sol.X[branchVar])
-				frac = math.Min(f, 1-f)
-			}
-			fmt.Fprintf(opts.Trace, "node=%d depth=%d lp=%v obj=%.3f branch=%d frac=%.3f iters=%d\n",
-				explored, nd.depth, sol.Status, sol.Objective, branchVar, frac, sol.Iters)
-		}
-		if branchVar == -1 {
-			// All decision variables integral. Complete the ceiling-defined
-			// auxiliaries by rounding up.
-			cand := append([]float64(nil), sol.X...)
-			ok := true
-			for _, v := range opts.CeilVars {
-				up := math.Ceil(cand[v] - opts.IntTol)
-				_, hi := q.Bounds(v)
-				if up > hi+opts.IntTol {
-					ok = false
-					break
-				}
-				cand[v] = up
-			}
-			if ok && p.LP.Feasible(cand, 1e-7) {
-				accept(p.LP.Eval(cand), cand)
-				continue
-			}
-			// The rounded completion is infeasible: ceiling variables couple
-			// through shared rows (per-stage block budgets), so rounding them
-			// all up can overrun a budget even though each alone is fine. The
-			// node's subproblem may still contain integral points with other
-			// decision values — branch on the most fractional ceiling
-			// variable rather than dropping the subtree.
-			branchVar = fractionalCeilVar(sol.X, opts)
-			if branchVar == -1 {
-				continue // fully integral yet infeasible: nothing below
-			}
-		}
-
-		// Primal heuristics: the naive snap-and-check, plus the caller's
-		// domain heuristic. Run every node until an incumbent exists, then
-		// every 20th node.
-		if bestX == nil || explored%20 == 0 {
-			if rx, ok := roundAndCheck(p, q, sol.X, isInt, opts.IntTol); ok {
-				accept(p.LP.Eval(rx), rx)
-			}
-			if opts.Heuristic != nil {
-				if hx := opts.Heuristic(sol.X); hx != nil && p.LP.Feasible(hx, 1e-7) {
-					integral := true
-					for _, v := range p.IntVars {
-						if math.Abs(hx[v]-math.Round(hx[v])) > opts.IntTol {
-							integral = false
-							break
-						}
-					}
-					if integral {
-						accept(p.LP.Eval(hx), hx)
-					}
-				}
-			}
-		}
-
-		v := sol.X[branchVar]
-		lo, hi := q.Bounds(branchVar)
-		down := &node{changes: append(append([]boundChange{}, nd.changes...), boundChange{branchVar, lo, math.Floor(v)}), bound: sol.Objective, depth: nd.depth + 1}
-		up := &node{changes: append(append([]boundChange{}, nd.changes...), boundChange{branchVar, math.Ceil(v), hi}), bound: sol.Objective, depth: nd.depth + 1}
-		if bestX == nil {
-			// Dive up-first for binary-like variables: forcing a selection
-			// to 1 collapses its at-most-one row and drives the LP toward
-			// integrality, whereas forcing 0 merely shuffles fractional
-			// mass to sibling slots (set-partitioning structure). Wider
-			// integers dive toward the nearer bound. LIFO: preferred child
-			// is pushed last.
-			if hi-lo <= 1 || v-math.Floor(v) >= 0.5 {
-				dive = append(dive, down, up)
-			} else {
-				dive = append(dive, up, down)
-			}
-		} else {
-			heap.Push(open, down)
-			heap.Push(open, up)
+			return true // fully integral yet infeasible: nothing below
 		}
 	}
 
-	if !decided && open.Len() == 0 && len(dive) == 0 {
-		if bestX == nil {
+	// Primal heuristics: the naive snap-and-check, plus the caller's
+	// domain heuristic. Run every node until an incumbent exists, then
+	// every 20th node. They run outside the lock (the caller's heuristic
+	// may itself solve LPs), and the node is in neither queue meanwhile,
+	// so it is re-registered as in flight: otherwise a peer could see an
+	// exhausted or gap-closed tree before its children are pushed.
+	if !hadIncumbent || nodeID%20 == 0 {
+		st.inflight[id] = sol.Objective
+		st.mu.Unlock()
+		var cands [][]float64
+		if rx, ok := roundAndCheck(q, sol.X, p.IntVars, opts.IntTol); ok {
+			cands = append(cands, rx)
+		}
+		if opts.Heuristic != nil {
+			if hx := opts.Heuristic(sol.X); hx != nil && st.integralFeasible(hx) {
+				cands = append(cands, hx)
+			}
+		}
+		st.mu.Lock()
+		delete(st.inflight, id)
+		for _, c := range cands {
+			st.accept(p.LP.Eval(c), c)
+		}
+		if sol.Objective <= st.res.Objective+opts.IntTol {
+			return true // pruned by an incumbent found meanwhile
+		}
+	}
+
+	v := sol.X[branchVar]
+	lo, hi := q.Bounds(branchVar)
+	down := &node{changes: append(append([]boundChange{}, nd.changes...), boundChange{branchVar, lo, math.Floor(v)}), bound: sol.Objective, depth: nd.depth + 1}
+	up := &node{changes: append(append([]boundChange{}, nd.changes...), boundChange{branchVar, math.Ceil(v), hi}), bound: sol.Objective, depth: nd.depth + 1}
+	if st.bestX == nil {
+		// Dive up-first for binary-like variables: forcing a selection to 1
+		// collapses its at-most-one row and drives the LP toward
+		// integrality, whereas forcing 0 merely shuffles fractional mass to
+		// sibling slots (set-partitioning structure). Wider integers dive
+		// toward the nearer bound. LIFO: the preferred child is pushed last.
+		if hi-lo <= 1 || v-math.Floor(v) >= 0.5 {
+			st.dive = append(st.dive, down, up)
+		} else {
+			st.dive = append(st.dive, up, down)
+		}
+	} else {
+		heap.Push(st.open, down)
+		heap.Push(st.open, up)
+	}
+	return true
+}
+
+// branchVar picks the branching variable at x: the first fractional
+// priority variable, else the most fractional integer variable that is not
+// a ceiling auxiliary. It returns -1 when all of those are integral.
+func (st *search) branchVar(x []float64) int {
+	for _, v := range st.opts.PriorityVars {
+		if fractionality(x[v]) > st.opts.IntTol {
+			return v
+		}
+	}
+	return mostFractional(x, st.p.IntVars, st.isCeilVar, st.opts.IntTol)
+}
+
+// result classifies the finished search and fills in the Result.
+func (st *search) result() *Result {
+	res := st.res
+	if !st.stopped { // queues drained naturally
+		if st.bestX == nil {
 			res.Status = Infeasible
-			if !rootInfeasible && (explored == 0 || dropped) {
+			if !st.rootInfeasible && (st.explored == 0 || st.dropped) {
 				res.Status = Limit
 			}
-		} else if dropped {
-			// Some subtree was abandoned unexplored (node LP hit its pivot
-			// cap or the wall-clock deadline); it may hold better points, so
-			// the incumbent stays Feasible.
+		} else if st.dropped {
+			// An abandoned subtree may hold better points, so the
+			// incumbent stays Feasible.
 			res.Status = Feasible
 		} else {
 			res.Status = Optimal
 			res.Bound = res.Objective
 		}
 	}
-	if dropped {
+	if st.dropped {
 		// Dropped subtrees rejoin the proven bound on every exit path: the
 		// live frontier alone no longer covers the optimum. The external
 		// BoundCap remains valid regardless.
-		b := math.Max(res.Bound, lostBound)
-		if opts.BoundCap > 0 {
-			b = math.Min(b, opts.BoundCap)
+		b := math.Max(res.Bound, st.lostBound)
+		if st.opts.BoundCap > 0 {
+			b = math.Min(b, st.opts.BoundCap)
 		}
 		res.Bound = b
 	}
 	// The incumbent itself is always a valid lower bound on the optimum, so
 	// the proven upper bound can never be reported below it.
-	if bestX != nil && res.Bound < res.Objective {
+	if st.bestX != nil && res.Bound < res.Objective {
 		res.Bound = res.Objective
 	}
-	res.X = bestX
-	res.Nodes = explored
-	res.Elapsed = time.Since(start)
-	if res.Status == Optimal && bestX == nil {
+	res.X = st.bestX
+	res.Nodes = st.explored
+	res.Elapsed = time.Since(st.start)
+	if res.Status == Optimal && st.bestX == nil {
 		res.Status = Infeasible
 	}
-	return res, nil
+	return res
 }
 
 func statusOnLimit(bestX []float64) Status {
@@ -534,27 +654,30 @@ func statusOnLimit(bestX []float64) Status {
 	return Limit
 }
 
-// fractionalCeilVar returns the most fractional ceiling-defined variable at
-// x, or -1 if all are integral. Used when the rounded-up completion of an
-// otherwise-integral node is infeasible: the node must branch on a ceiling
-// variable instead of being dropped.
-func fractionalCeilVar(x []float64, opts Options) int {
-	worst, branchVar := opts.IntTol, -1
-	for _, v := range opts.CeilVars {
-		f := x[v] - math.Floor(x[v])
-		if frac := math.Min(f, 1-f); frac > worst {
+// fractionality is the distance from x to the nearest integer.
+func fractionality(x float64) float64 {
+	f := x - math.Floor(x)
+	return math.Min(f, 1-f)
+}
+
+// mostFractional returns the variable of vars, skipping those in skip, whose
+// value at x is the most fractional beyond tol; -1 if none is.
+func mostFractional(x []float64, vars []int, skip map[int]bool, tol float64) int {
+	worst, branchVar := tol, -1
+	for _, v := range vars {
+		if frac := fractionality(x[v]); !skip[v] && frac > worst {
 			worst, branchVar = frac, v
 		}
 	}
 	return branchVar
 }
 
-// roundAndCheck snaps integer variables to the nearest integer within their
-// bounds and verifies all constraints directly. It returns the snapped point
-// and whether it is feasible.
-func roundAndCheck(p *Problem, q *lp.Problem, x []float64, isInt map[int]bool, tol float64) ([]float64, bool) {
+// roundAndCheck snaps the integer variables to the nearest integer within
+// their bounds in q and verifies all constraints directly. It returns the
+// snapped point and whether it is feasible.
+func roundAndCheck(q *lp.Problem, x []float64, intVars []int, tol float64) ([]float64, bool) {
 	rx := append([]float64(nil), x...)
-	for v := range isInt {
+	for _, v := range intVars {
 		r := math.Round(rx[v])
 		lo, hi := q.Bounds(v)
 		if r < lo {

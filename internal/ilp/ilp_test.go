@@ -176,6 +176,39 @@ func TestTimeLimitReturnsIncumbent(t *testing.T) {
 	}
 }
 
+// TestTimeLimitOnOpenTree checks that a TimeLimit holds when the tree is
+// far from closed: a strongly correlated 60-item knapsack is still open
+// after seconds of search, yet a 50 ms solve must return within 100 ms with
+// a limit status and a bound no lower than its incumbent.
+func TestTimeLimitOnOpenTree(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	n := 60
+	values := make([]float64, n)
+	weights := make([]float64, n)
+	for i := range values {
+		weights[i] = float64(1 + rng.Intn(10000))
+		values[i] = weights[i] + 1000
+	}
+	for _, workers := range []int{1, 2} {
+		start := time.Now()
+		res, err := Solve(knapsack(values, weights, sum(weights)/2),
+			Options{TimeLimit: 50 * time.Millisecond, Workers: workers})
+		took := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("workers %d: returned after %v, limit 50ms", workers, took)
+		}
+		if res.Status != Feasible && res.Status != Limit {
+			t.Errorf("workers %d: status %v, want a limit status", workers, res.Status)
+		}
+		if res.Bound < res.Objective {
+			t.Errorf("workers %d: bound %v below incumbent %v", workers, res.Bound, res.Objective)
+		}
+	}
+}
+
 func TestOnIncumbentCallback(t *testing.T) {
 	var seen []float64
 	values := []float64{5, 4, 3}

@@ -24,8 +24,8 @@ func normalizeTrace(s string) string {
 	return iterRe.ReplaceAllString(s, "")
 }
 
-// goldenProblems are the fixed instances whose serial node traces are pinned
-// in testdata/. They cover a pure knapsack and a real placement encode.
+// goldenProblems are the fixed instances whose one-worker node traces are
+// pinned in testdata/. They cover a pure knapsack and a real placement encode.
 func goldenProblems(t testing.TB) map[string]*Problem {
 	rng := rand.New(rand.NewSource(17))
 	n := 14
@@ -53,11 +53,13 @@ func goldenProblems(t testing.TB) map[string]*Problem {
 	}
 }
 
-// TestSerialTraceGolden pins the Workers=1 node trace to the trace the
-// pre-fast-path serial solver produced (testdata/*.golden, generated at the
-// seed commit with -update-golden): the sparse simplex, warm-started node
-// LPs, and the parallel engine at one worker must all reproduce the same
-// node order, LP objectives, and branching decisions bit for bit.
+// TestSerialTraceGolden pins the node trace of Workers 1 (1 = one worker,
+// the node order the goldens pin; any count proves the same optimum, argmax
+// may differ) to the trace the pre-fast-path solver produced
+// (testdata/*.golden, generated at the seed commit with -update-golden): the
+// sparse simplex, warm-started node LPs, and the worker-pool search must
+// reproduce the same node order, LP objectives, and branching decisions bit
+// for bit.
 func TestSerialTraceGolden(t *testing.T) {
 	for name, prob := range goldenProblems(t) {
 		t.Run(name, func(t *testing.T) {

@@ -75,7 +75,7 @@ func TestApproxRepeatableSameSeed(t *testing.T) {
 }
 
 // TestIPParallelMatchesSerialObjective: SFP-IP must prove the same optimum
-// with a parallel tree search as with the serial reference.
+// with four tree-search workers as with one.
 func TestIPParallelMatchesSerialObjective(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	in := smallInstance(rng, 4)

@@ -76,8 +76,8 @@ type IPOptions struct {
 	// better incumbent wins. Ignored under NoWarmStart.
 	WarmFrom *model.Assignment
 	// Workers sets the branch-and-bound worker count (see ilp.Options
-	// .Workers): 0 or 1 solves serially with the bit-for-bit reproducible
-	// node order, n > 1 searches the tree with n concurrent workers.
+	// .Workers; 0 means 1): 1 = one worker, the node order the goldens pin;
+	// any count proves the same optimum, argmax may differ.
 	Workers int
 	// WarmBasis, when non-nil, warm-starts the root LP from a prior solve's
 	// RootBasis (cross-replan warm start). A basis whose shape does not

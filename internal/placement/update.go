@@ -348,9 +348,9 @@ type ReplanOptions struct {
 	WarmBasis *lp.Basis
 	// SolverWorkers sets the worker count for the embedded solves:
 	// branch-and-bound workers on the IP paths, pricing workers on
-	// MaybeReconfigure's decomposed path. 0 or 1 is the serial
-	// deterministic reference; any count proves the same optimum, but
-	// when optima tie the parallel search may return a different argmax.
+	// MaybeReconfigure's decomposed path. 0 means 1. 1 = one worker, the
+	// node order the goldens pin; any count proves the same optimum,
+	// argmax may differ.
 	SolverWorkers int
 	// DecomposeAbove routes MaybeReconfigure's full re-optimization to the
 	// Lagrangian decomposition (SolveDecomposed) once the total chain count
