@@ -37,7 +37,6 @@ package placement
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -108,6 +107,7 @@ type decomposer struct {
 
 	// Repair state (reused across iterations).
 	order    []int
+	byVal    radixOrder
 	metric   []int
 	repStage []int32 // repaired stages, flat at offs[l]
 	repDep   []bool
@@ -445,12 +445,7 @@ func (d *decomposer) repair() float64 {
 			d.order = append(d.order, l)
 		}
 	}
-	sort.Slice(d.order, func(a, b int) bool {
-		if d.val[d.order[a]] != d.val[d.order[b]] {
-			return d.val[d.order[a]] > d.val[d.order[b]]
-		}
-		return d.order[a] < d.order[b]
-	})
+	d.byVal.sort(d.order, d.val)
 	g := newGreedyState(d.in, d.cons)
 	obj := 0.0
 	for _, l := range d.order {
@@ -501,4 +496,59 @@ func (d *decomposer) materialize() *model.Assignment {
 		}
 	}
 	return a
+}
+
+// radixOrder is a stable LSD radix sort of chain indices by value,
+// descending, with buffers reused across calls.
+type radixOrder struct {
+	keys, keyBuf []uint64
+	idxBuf       []int
+}
+
+// sort reorders idx, which must be in ascending order, by val[l]
+// descending, ties in ascending index. For finite values > 0 the bit
+// pattern of a float64 orders like its value, so the keys ^bits sort
+// ascending into value-descending order, and stability keeps equal values
+// in index order: exactly the order of a comparison sort on (val desc,
+// index asc), in O(n) instead of O(n log n). Byte positions where every
+// key has the same digit are skipped.
+func (r *radixOrder) sort(idx []int, val []float64) {
+	n := len(idx)
+	if n < 2 {
+		return
+	}
+	if cap(r.keys) < n {
+		r.keys = make([]uint64, n)
+		r.keyBuf = make([]uint64, n)
+		r.idxBuf = make([]int, n)
+	}
+	keys, keyBuf, src, dst := r.keys[:n], r.keyBuf[:n], idx, r.idxBuf[:n]
+	var count [8][256]int
+	for i, l := range idx {
+		k := ^math.Float64bits(val[l])
+		keys[i] = k
+		for p := range count {
+			count[p][byte(k>>(8*p))]++
+		}
+	}
+	for p := range count {
+		c := &count[p]
+		if c[byte(keys[0]>>(8*p))] == n {
+			continue
+		}
+		sum := 0
+		for b, m := range c {
+			c[b] = sum
+			sum += m
+		}
+		for i, k := range keys {
+			b := byte(k >> (8 * p))
+			keyBuf[c[b]], dst[c[b]] = k, src[i]
+			c[b]++
+		}
+		keys, keyBuf, src, dst = keyBuf, keys, dst, src
+	}
+	if &src[0] != &idx[0] {
+		copy(idx, src)
+	}
 }

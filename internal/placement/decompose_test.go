@@ -1,8 +1,11 @@
 package placement
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,22 +80,24 @@ func TestDecomposedFeasibleAcrossSeedsAndModes(t *testing.T) {
 // the Lagrangian bound dominating any feasible objective the IP finds —
 // must hold whether or not the IP proves optimality, so it is asserted on
 // every instance, including contended ones where branch and bound only
-// returns an incumbent within the time limit. The two optimality-relative
+// returns an incumbent within its node budget. The two optimality-relative
 // claims (decomposed never beats the optimum; exact optimum within the
-// certified gap) apply only where the IP terminates "optimal".
+// certified gap) apply only where the IP terminates "optimal". The budget
+// is work, not time, so every host tests the same tree: 21 nodes is the
+// fewest that still proves all six capMul-10 instances (seed 3 needs 20).
 func TestDecomposedWithinReportedGapOfExact(t *testing.T) {
 	proven := 0
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, cons := range []bool{true, false} {
-			// capMul 6 → backplane binds, IP usually times out with an
-			// incumbent; capMul 10 → IP proves optimality at the root.
+			// capMul 6 → backplane binds, IP stops at the budget with an
+			// incumbent; capMul 10 → IP proves optimality within it.
 			for _, capMul := range []float64{6, 10} {
 				const L = 8
 				in := contendedInstance(seed, L, 0)
 				in.Switch.CapacityGbps = capMul * L
 				exact, err := SolveIP(in, IPOptions{
-					Build:     model.BuildOptions{Consolidate: cons},
-					TimeLimit: 5 * time.Second,
+					Build:    model.BuildOptions{Consolidate: cons},
+					MaxNodes: 21,
 				})
 				if err != nil {
 					t.Fatalf("exact: %v", err)
@@ -123,8 +128,9 @@ func TestDecomposedWithinReportedGapOfExact(t *testing.T) {
 			}
 		}
 	}
-	if proven == 0 {
-		t.Error("no instance reached a proven optimum; optimality-relative claims untested")
+	t.Logf("%d of 12 exact solves proven optimal", proven)
+	if proven < 6 {
+		t.Errorf("%d of 6 capMul-10 instances reached a proven optimum; optimality-relative claims under-tested", proven)
 	}
 }
 
@@ -285,5 +291,60 @@ func TestDecomposedGapQuality(t *testing.T) {
 		}
 		t.Log(fmt.Sprintf("L=%d cons=%v: obj=%.1f bound=%.1f gap=%.2f%% iters=%d elapsed=%v",
 			tc.L, tc.cons, res.Objective, res.Bound, 100*res.Gap, res.DualIters, res.Elapsed))
+	}
+}
+
+// TestRadixOrderMatchesComparisonSort checks the repair's radix order
+// against a comparison sort on (value descending, index ascending) over
+// ascending index subsets: empty, single, and 10k-long inputs, heavy ties,
+// and values spread over every exponent from just above the 1e-9 pricing
+// floor to near 1e300. One radixOrder serves every case, so buffer reuse
+// across lengths is covered too.
+func TestRadixOrderMatchesComparisonSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	floor := math.Nextafter(1e-9, 1)
+	gens := map[string]func() float64{
+		"ties": func() float64 {
+			return []float64{floor, 0.5, 1, 1, 3.25, 1e300}[rng.Intn(6)]
+		},
+		"exponents": func() float64 {
+			switch rng.Intn(10) {
+			case 0:
+				return floor
+			case 1:
+				return math.Nextafter(1e300, math.Inf(1))
+			case 2:
+				return 1e300
+			}
+			return math.Pow(10, -9+309*rng.Float64())
+		},
+		"narrow": func() float64 { return 100 + rng.Float64() },
+	}
+	var r radixOrder
+	for _, name := range []string{"ties", "exponents", "narrow"} {
+		for _, n := range []int{10000, 0, 1, 2, 37, 10000} {
+			val := make([]float64, n+n/3)
+			for l := range val {
+				val[l] = gens[name]()
+			}
+			// An ascending subset of the chain indices, like the priced set.
+			var idx []int
+			for l := range val {
+				if len(idx) < n && (rng.Intn(4) > 0 || len(val)-l <= n-len(idx)) {
+					idx = append(idx, l)
+				}
+			}
+			want := slices.Clone(idx)
+			slices.SortFunc(want, func(a, b int) int {
+				if c := cmp.Compare(val[b], val[a]); c != 0 {
+					return c
+				}
+				return cmp.Compare(a, b)
+			})
+			r.sort(idx, val)
+			if !slices.Equal(idx, want) {
+				t.Fatalf("%s n=%d: radix order differs from the comparison sort", name, n)
+			}
+		}
 	}
 }

@@ -1,11 +1,13 @@
 package placement
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"sfp/internal/model"
+	"sfp/internal/traffic"
 )
 
 // Full-solve scale benchmarks. They compare the Lagrangian decomposition
@@ -14,28 +16,51 @@ import (
 // (contendedInstance: blocks ≈ L/4, capacity 6·L admits roughly two thirds
 // of the sampled bandwidth).
 //
-// The build is non-consolidated (Eq. 25): there the decomposition prices
-// whole blocks exactly, so its certified gap converges tight —
-// TestDecomposedGapQuality holds the 1k instance to 3%. Every decomposed run
-// re-verifies its repaired placement against the full constraint set, so a
-// passing benchmark is also a feasibility proof at that scale. The exact
-// side runs to a wall-clock limit, so its numbers depend on the host.
+// The contended builds are non-consolidated (Eq. 25): there the
+// decomposition prices whole blocks exactly, so its certified gap converges
+// tight — TestDecomposedGapQuality holds the 1k instance to 3%.
+// BenchmarkFullSolveDecompBulk10k is the consolidated (Eq. 11) solve of
+// sfpbench's bulk workload. Every decomposed run verifies the placement it
+// returns against the full constraint set, so a passing benchmark is also a
+// feasibility proof at that scale. The exact side runs to a wall-clock
+// limit, so its numbers depend on the host.
 
 const fullSolveSeed = 424
 
-func benchFullSolveDecomp(b *testing.B, L int) {
-	in := contendedInstance(fullSolveSeed, L, 0)
+// bulkInstance is the full solve of sfpbench's bulk workload built from
+// traffic.GenChains: short chains of 1–3-rule boxes at megabit rates on an
+// 8-stage, one-pass switch of 16-entry blocks, with memory (L/40 blocks per
+// stage) and the backplane (about four fifths of the demand) both binding.
+func bulkInstance(seed int64, L int) *model.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	return &model.Instance{
+		Switch: model.SwitchConfig{
+			Stages:          8,
+			BlocksPerStage:  max(L/40, 8),
+			EntriesPerBlock: 16,
+			CapacityGbps:    0.002*float64(L) + 0.0005,
+		},
+		NumTypes: 10,
+		Chains: traffic.GenChains(rng, L, traffic.ChainParams{
+			MeanLen: 2, RuleMin: 1, RuleMax: 3, ParetoXm: 0.0014, BandwidthCap: 0.004,
+		}),
+	}
+}
+
+func benchFullSolveDecomp(b *testing.B, in *model.Instance, cons bool) {
+	b.ReportAllocs()
+	b.ResetTimer()
 	var last *Result
 	for i := 0; i < b.N; i++ {
 		res, err := SolveDecomposed(in, DecomposeOptions{
-			Build:   model.BuildOptions{Consolidate: false},
+			Build:   model.BuildOptions{Consolidate: cons},
 			Workers: runtime.NumCPU(),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := model.Verify(in, res.Assignment, false); err != nil {
-			b.Fatalf("decomposed placement infeasible at L=%d: %v", L, err)
+		if err := model.Verify(in, res.Assignment, cons); err != nil {
+			b.Fatalf("decomposed placement infeasible at L=%d: %v", len(in.Chains), err)
 		}
 		last = res
 	}
@@ -44,9 +69,19 @@ func benchFullSolveDecomp(b *testing.B, L int) {
 	b.ReportMetric(float64(last.DualIters), "iters")
 }
 
-func BenchmarkFullSolveDecomp250(b *testing.B) { benchFullSolveDecomp(b, 250) }
-func BenchmarkFullSolveDecomp1k(b *testing.B)  { benchFullSolveDecomp(b, 1000) }
-func BenchmarkFullSolveDecomp4k(b *testing.B)  { benchFullSolveDecomp(b, 4000) }
+func benchFullSolveContended(b *testing.B, L int) {
+	benchFullSolveDecomp(b, contendedInstance(fullSolveSeed, L, 0), false)
+}
+
+func BenchmarkFullSolveDecomp250(b *testing.B) { benchFullSolveContended(b, 250) }
+func BenchmarkFullSolveDecomp1k(b *testing.B)  { benchFullSolveContended(b, 1000) }
+func BenchmarkFullSolveDecomp4k(b *testing.B)  { benchFullSolveContended(b, 4000) }
+
+// BenchmarkFullSolveDecompBulk10k is sfpbench bulk-10k's full solve without
+// the controller around it: consolidated accounting, as core builds it.
+func BenchmarkFullSolveDecompBulk10k(b *testing.B) {
+	benchFullSolveDecomp(b, bulkInstance(fullSolveSeed, 10000), true)
+}
 
 // benchFullSolveExact runs the exact IP on the same instance under a time
 // limit. A decomposed pre-solve supplies BoundCap, so branch and bound can

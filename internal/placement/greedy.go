@@ -27,10 +27,12 @@ type greedyState struct {
 	cons bool
 	// X is the growing physical layout.
 	X [][]bool
-	// rules[i][s] is the total rules of type i+1 placed on stage s
-	// (consolidated accounting).
+	// rules[i][s] is the total rules of type i+1 placed on stage s.
 	rules [][]int
-	// blocks[s] is block usage under non-consolidated accounting.
+	// blocks[s] is the block usage of stage s under the state's memory
+	// model: Σ_i ⌈rules[i][s]/E⌉ when consolidated (Eq. 11), the sum of
+	// every placed box's ⌈rules/E⌉ otherwise (Eq. 25). Every shift keeps it
+	// current, so fits is O(1) in both modes.
 	blocks []int
 	// capUsed is the Eq. 12 backplane load.
 	capUsed float64
@@ -52,29 +54,18 @@ func newGreedyState(in *model.Instance, cons bool) *greedyState {
 	return g
 }
 
-// stageBlocks returns current block usage on physical stage s.
-func (g *greedyState) stageBlocks(s int) int {
-	E := g.in.Switch.EntriesPerBlock
-	if !g.cons {
-		return g.blocks[s]
-	}
-	total := 0
-	for i := range g.rules {
-		total += (g.rules[i][s] + E - 1) / E
-	}
-	return total
-}
+// ceilDiv is ⌈a/b⌉ for a ≥ 0, b > 0.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // fits reports whether adding `add` rules of type t (1-based) on stage s
 // keeps the stage within its block budget.
 func (g *greedyState) fits(t, s, add int) bool {
 	E, B := g.in.Switch.EntriesPerBlock, g.in.Switch.BlocksPerStage
 	if g.cons {
-		before := (g.rules[t-1][s] + E - 1) / E
-		after := (g.rules[t-1][s] + add + E - 1) / E
-		return g.stageBlocks(s)-before+after <= B
+		r := g.rules[t-1][s]
+		return g.blocks[s]-ceilDiv(r, E)+ceilDiv(r+add, E) <= B
 	}
-	return g.blocks[s]+(add+E-1)/E <= B
+	return g.blocks[s]+ceilDiv(add, E) <= B
 }
 
 // take commits `add` rules of type t on stage s; give returns them.
@@ -82,11 +73,16 @@ func (g *greedyState) take(t, s, add int) { g.shift(t, s, add, 1) }
 func (g *greedyState) give(t, s, add int) { g.shift(t, s, add, -1) }
 
 func (g *greedyState) shift(t, s, add, sign int) {
-	g.rules[t-1][s] += sign * add
-	if !g.cons {
-		E := g.in.Switch.EntriesPerBlock
-		g.blocks[s] += sign * ((add + E - 1) / E)
+	E := g.in.Switch.EntriesPerBlock
+	r := &g.rules[t-1][s]
+	if g.cons {
+		before := ceilDiv(*r, E)
+		*r += sign * add
+		g.blocks[s] += ceilDiv(*r, E) - before
+		return
 	}
+	*r += sign * add
+	g.blocks[s] += sign * ceilDiv(add, E)
 }
 
 // chainLoad is a placed chain's Eq. 12 backplane load.
@@ -104,6 +100,12 @@ func chainLoad(c *model.Chain, stages []int, S int) float64 {
 // chain's resources and physical NFs are committed and stages holds its box
 // stages; on failure g is unchanged.
 func (g *greedyState) tryChain(c *model.Chain, stages []int) bool {
+	// Any placement loads the backplane with at least one pass × T, and
+	// float multiplication and addition are monotone, so a chain that fails
+	// this test would fail commitLoad wherever its boxes landed.
+	if g.capUsed+c.BandwidthGbps > g.in.Switch.CapacityGbps {
+		return false
+	}
 	S, K := g.in.Switch.Stages, g.in.K()
 	cursor := 0
 	for j, b := range c.NFs {
@@ -125,11 +127,15 @@ func (g *greedyState) tryChain(c *model.Chain, stages []int) bool {
 	return g.commitLoad(c, stages)
 }
 
-// commit places a chain at the given virtual stages if every box fits in
-// turn and the load stays within C; like tryChain it leaves g unchanged on
-// failure.
+// commit places a chain at the given virtual stages if the load stays
+// within C and every box fits in turn; like tryChain it leaves g unchanged
+// on failure.
 func (g *greedyState) commit(c *model.Chain, stages []int) bool {
 	S := g.in.Switch.Stages
+	load := chainLoad(c, stages, S)
+	if g.capUsed+load > g.in.Switch.CapacityGbps {
+		return false
+	}
 	for j, b := range c.NFs {
 		if !g.fits(b.Type, stages[j]%S, b.Rules) {
 			g.giveBoxes(c, stages[:j])
@@ -137,7 +143,9 @@ func (g *greedyState) commit(c *model.Chain, stages []int) bool {
 		}
 		g.take(b.Type, stages[j]%S, b.Rules)
 	}
-	return g.commitLoad(c, stages)
+	g.capUsed += load
+	g.markX(c, stages)
+	return true
 }
 
 // commitLoad finishes a placement whose boxes are taken: if its load fits
