@@ -46,7 +46,7 @@ func main() {
 		noConsol  = flag.Bool("no-consolidate", false, "disable same-type NF consolidation (Eq. 25 memory)")
 		timeLimit = flag.Duration("time-limit", 60*time.Second, "IP solver time limit")
 		seed      = flag.Int64("seed", 1, "randomized-rounding seed")
-		solverW   = flag.Int("solver-workers", 1, "solver workers: branch-and-bound for ip, concurrent recirculation trials for appro (0 = GOMAXPROCS; 1 = one worker, the node order the goldens pin; any count proves the same optimum, argmax may differ)")
+		solverW   = flag.Int("solver-workers", 1, "concurrent recirculation trials for -algo appro (0 = GOMAXPROCS); the count never changes the result, and ip always runs one branch-and-bound loop")
 		stateDir  = flag.String("state-dir", "", "durable-controller mode: journal every transition to this directory; recover+reconcile on start if it holds prior state")
 	)
 	flag.Parse()
@@ -91,7 +91,7 @@ func main() {
 	var res *placement.Result
 	switch *algo {
 	case "ip":
-		res, err = placement.SolveIP(in, placement.IPOptions{Build: build, TimeLimit: *timeLimit, Workers: workers})
+		res, err = placement.SolveIP(in, placement.IPOptions{Build: build, TimeLimit: *timeLimit})
 	case "appro":
 		res, err = placement.SolveApprox(in, placement.ApproxOptions{Build: build, Seed: *seed, Workers: workers})
 	case "greedy":

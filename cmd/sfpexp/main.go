@@ -23,7 +23,7 @@ func main() {
 		figs    = flag.String("fig", "all", "comma-separated figure numbers (4..11), 'savings', or 'all'")
 		scale   = flag.String("scale", "quick", "experiment scale: quick | paper")
 		workers = flag.Int("workers", 1, "traffic-engine workers for the data-plane figures (0 = GOMAXPROCS; 1 = sequential reference)")
-		solverW = flag.Int("solver-workers", 1, "control-plane solver workers for the placement figures (0 = GOMAXPROCS; 1 = one worker, the node order the goldens pin; any count proves the same optimum, argmax may differ)")
+		solverW = flag.Int("solver-workers", 1, "control-plane workers: SFP-Appro recirculation trials and the lifecycle controller's decomposed pricing (0 = GOMAXPROCS); the count never changes a result, and SFP-IP always runs one branch-and-bound loop")
 	)
 	flag.Parse()
 

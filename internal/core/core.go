@@ -69,11 +69,9 @@ type Options struct {
 	// incremental replan). Zero means 10s — unbounded exact solves are a
 	// foot-gun on anything beyond toy sizes.
 	SolverTimeLimit time.Duration
-	// SolverWorkers sets the control-plane solver worker count:
-	// branch-and-bound workers for exact IP solves and replans, pricing
-	// workers for decomposed full solves. 0 means 1. 1 = one worker, the
-	// node order the goldens pin; any count proves the same optimum,
-	// argmax may differ.
+	// SolverWorkers sets the pricing worker count of decomposed full
+	// solves (0 means 1). It never changes a result: exact IP solves and
+	// replans run one deterministic branch-and-bound loop.
 	SolverWorkers int
 	// DecomposeAbove routes full solves (Provision with AlgoIP and
 	// ReconfigureIfStale's re-optimization) to the Lagrangian decomposition
@@ -248,7 +246,6 @@ func (c *Controller) solveWith(algo Algorithm, in *model.Instance) (*placement.R
 		}
 		return placement.SolveIP(in, placement.IPOptions{
 			Build: build, TimeLimit: c.opts.SolverTimeLimit, NoWarmStart: c.opts.IPNoWarmStart,
-			Workers: c.opts.SolverWorkers,
 		})
 	case AlgoApprox:
 		return placement.SolveApprox(in, placement.ApproxOptions{Build: build, Seed: c.opts.Seed})
@@ -870,10 +867,7 @@ func (c *Controller) replan() error {
 		_, err := c.updater.ReplanGreedy()
 		return err
 	}
-	_, err := c.updater.Replan(placement.ReplanOptions{
-		TimeLimit:     c.opts.SolverTimeLimit,
-		SolverWorkers: c.opts.SolverWorkers,
-	})
+	_, err := c.updater.Replan(placement.ReplanOptions{TimeLimit: c.opts.SolverTimeLimit})
 	return err
 }
 
@@ -907,11 +901,11 @@ func (c *Controller) ReconfigureIfStale(threshold float64) (bool, error) {
 	if c.updater == nil {
 		return false, fmt.Errorf("core: not provisioned")
 	}
-	// Full plumbing, like the replan path: worker count and decomposition
-	// threshold ride along, and the updater re-enters its retained full-model
-	// basis on the exact path (ReplanOptions.WarmBasis stays nil so the
-	// internally retained basis applies). The solve's certified gap is
-	// surfaced through LastReplan().Gap.
+	// Full plumbing: pricing worker count and decomposition threshold ride
+	// along, and the updater re-enters its retained full-model basis on the
+	// exact path (ReplanOptions.WarmBasis stays nil so the internally
+	// retained basis applies). The solve's certified gap is surfaced
+	// through LastReplan().Gap.
 	did, _, err := c.updater.MaybeReconfigure(threshold, placement.ReplanOptions{
 		TimeLimit:      c.opts.SolverTimeLimit,
 		SolverWorkers:  c.opts.SolverWorkers,

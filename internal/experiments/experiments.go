@@ -92,11 +92,10 @@ type Scale struct {
 	Recirc int
 	// MeanChainLen is J̄ (paper: 5).
 	MeanChainLen int
-	// SolverWorkers sets the control-plane solver worker count for the
-	// placement figures: branch-and-bound workers for SFP-IP and concurrent
-	// recirculation trials for SFP-Appro (0 or 1 = serial reference).
-	// Any worker count proves the same optimum for a fixed seed; when
-	// optima tie the argmax may differ.
+	// SolverWorkers sets the control-plane worker count: concurrent
+	// recirculation trials for SFP-Appro and the lifecycle controller's
+	// decomposed-pricing workers (0 or 1 = serial). It never changes a
+	// result; SFP-IP runs one deterministic branch-and-bound loop.
 	SolverWorkers int
 	// LifecycleTarget is the steady-state live-tenant population of the
 	// lifecycle churn experiment (0 = Lifecycle's default).

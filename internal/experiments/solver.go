@@ -25,7 +25,6 @@ func Fig8(scale Scale) (*Table, error) {
 			res, err := placement.SolveIP(in, placement.IPOptions{
 				Build:     model.BuildOptions{Consolidate: true},
 				TimeLimit: cap,
-				Workers:   scale.SolverWorkers,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fig8 IP L=%d: %w", L, err)
@@ -75,7 +74,6 @@ func Fig9(scale Scale) (*Table, error) {
 			Build:       model.BuildOptions{Consolidate: true},
 			TimeLimit:   time.Duration(lim * float64(time.Second)),
 			NoWarmStart: true, // the paper's cold solver returns 0 at 5s
-			Workers:     scale.SolverWorkers,
 		})
 		if err != nil {
 			return nil, err
@@ -137,7 +135,6 @@ func Fig10(scale Scale) (*Table, error) {
 			ipRes, err := placement.SolveIP(in, placement.IPOptions{
 				Build: model.BuildOptions{Consolidate: true}, TimeLimit: cap,
 				WarmFrom: apRes.Assignment,
-				Workers:  scale.SolverWorkers,
 			})
 			if err != nil {
 				return nil, err

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 	"time"
 
 	"sfp/internal/lp"
@@ -100,11 +99,6 @@ type Options struct {
 	LPOpts lp.Options
 	// Trace, if set, receives one diagnostic line per explored node.
 	Trace io.Writer
-	// Workers sets the number of concurrent branch-and-bound workers
-	// (0 means 1). 1 = one worker, the node order the goldens pin; any
-	// count proves the same optimum, argmax may differ. Callers wanting
-	// "all cores" pass runtime.GOMAXPROCS(0) themselves.
-	Workers int
 	// WarmBasis warm-starts the ROOT LP relaxation from a prior solve's
 	// optimal basis (cross-replan warm start: successive replans of a
 	// retained problem differ only by bound pins, RHS give-backs, and
@@ -135,9 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RelGap == 0 {
 		o.RelGap = 1e-6
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
 	}
 	return o
 }
@@ -207,15 +198,14 @@ func (h *nodeHeap) Pop() any {
 	return it
 }
 
-// Solve runs branch and bound on Options.Workers goroutines (at least one).
-// The workers share one incumbent, one best-bound node heap and one dive
-// stack behind a mutex; node LPs and primal heuristics, the expensive part,
-// run outside the lock. One worker has no peers, so its node order is fixed;
-// more workers race for nodes and prove the same optimum in another order.
+// Solve runs branch and bound on the caller's goroutine. The node order
+// depends only on the problem and the options, so a solve bounded by
+// MaxNodes alone returns the same result on every run; TimeLimit is the
+// one input that can cut it short at a different node.
 func Solve(p *Problem, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	// Build the shared CSC form once, up front: every node LP clone reuses
-	// it, and workers must not race to create their own.
+	// it.
 	p.LP.Presparse()
 	st := &search{
 		p:         p,
@@ -225,10 +215,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		res:       &Result{Status: Limit, Objective: math.Inf(-1), Bound: math.Inf(1)},
 		open:      &nodeHeap{},
 		dive:      []*node{{bound: math.Inf(1)}},
-		inflight:  make(map[int]float64),
 		lostBound: math.Inf(-1),
 	}
-	st.cond = sync.NewCond(&st.mu)
 	if opts.TimeLimit > 0 {
 		st.deadline = st.start.Add(opts.TimeLimit)
 	}
@@ -241,24 +229,15 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if ws := opts.WarmStart; ws != nil && st.integralFeasible(ws) {
 		st.accept(p.LP.Eval(ws), ws)
 	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			st.worker(id)
-		}(w)
+	for st.step() {
 	}
-	wg.Wait()
 	if st.err != nil {
 		return nil, st.err
 	}
 	return st.result(), nil
 }
 
-// search is the state the workers share. Every field below mu is guarded
-// by it; the fields above are fixed before the workers start.
+// search is the branch-and-bound state of one Solve.
 type search struct {
 	p         *Problem
 	opts      Options
@@ -266,20 +245,12 @@ type search struct {
 	deadline  time.Time // zero without a TimeLimit
 	isCeilVar map[int]bool
 
-	mu sync.Mutex
-	// cond wakes workers waiting for a node: a worker that finds both
-	// queues empty must still wait while any peer is in flight, since that
-	// peer may push children.
-	cond *sync.Cond
 	open *nodeHeap
 	// dive is a LIFO stack searched depth-first until the first incumbent
 	// exists: best-bound alone wanders breadth-wise and can fail to produce
 	// any integer-feasible point under a time limit. Once an incumbent is
 	// found the stack drains into the best-bound heap.
 	dive []*node
-	// inflight maps worker id -> bound of the node it is solving, so the
-	// proven bound accounts for nodes popped but not yet expanded.
-	inflight map[int]float64
 
 	res            *Result
 	bestX          []float64
@@ -317,8 +288,7 @@ func (st *search) integralFeasible(x []float64) bool {
 	return true
 }
 
-// accept records an improving incumbent. Callers must hold st.mu (or be the
-// single pre-worker goroutine).
+// accept records an improving incumbent.
 func (st *search) accept(obj float64, x []float64) {
 	if obj <= st.res.Objective {
 		return
@@ -336,12 +306,8 @@ func (st *search) pastDeadline() bool {
 }
 
 // stop halts the search: the global bound is tightened with everything
-// still queued or in flight. Callers must hold st.mu; the worker's
-// broadcast after the step releases the waiting peers.
+// still queued.
 func (st *search) stop(status Status) {
-	if st.stopped {
-		return
-	}
 	st.stopped = true
 	st.res.Status = status
 	bound := st.res.Objective // -Inf until an incumbent exists
@@ -351,69 +317,42 @@ func (st *search) stop(status Status) {
 	for _, nd := range st.dive {
 		bound = math.Max(bound, nd.bound)
 	}
-	for _, b := range st.inflight {
-		bound = math.Max(bound, b)
-	}
 	if bound < st.res.Bound {
 		st.res.Bound = bound
 	}
 }
 
-// drop abandons a node whose subtree stays unexplored. Callers must hold
-// st.mu.
+// drop abandons a node whose subtree stays unexplored.
 func (st *search) drop(nd *node) {
 	st.dropped = true
 	st.lostBound = math.Max(st.lostBound, nd.bound)
 }
 
-func (st *search) worker(id int) {
-	st.mu.Lock()
-	for more := true; more; {
-		more = st.step(id)
-		// The step may have queued children or left inflight: wake peers
-		// waiting on either.
-		st.cond.Broadcast()
-	}
-	st.mu.Unlock()
-}
-
-// pop returns the next node to expand, waiting while both queues are empty
-// but a peer is in flight. It returns nil once the search is over. Callers
-// must hold st.mu.
+// pop returns the next node to expand, or nil once the tree is exhausted.
 func (st *search) pop() *node {
-	for !st.stopped && st.err == nil {
-		if st.bestX != nil && len(st.dive) > 0 {
-			for _, d := range st.dive {
-				heap.Push(st.open, d)
-			}
-			st.dive = st.dive[:0]
+	if st.bestX != nil && len(st.dive) > 0 {
+		for _, d := range st.dive {
+			heap.Push(st.open, d)
 		}
-		if len(st.dive) > 0 {
-			nd := st.dive[len(st.dive)-1]
-			st.dive = st.dive[:len(st.dive)-1]
-			return nd
-		}
-		if st.open.Len() > 0 {
-			nd := heap.Pop(st.open).(*node)
-			if len(st.inflight) == 0 && nd.bound < st.res.Bound {
-				// Only safe when nothing is in flight: an in-flight
-				// node may still push children with larger bounds.
-				st.res.Bound = nd.bound
-			}
-			return nd
-		}
-		if len(st.inflight) == 0 {
-			return nil // tree exhausted
-		}
-		st.cond.Wait()
+		st.dive = st.dive[:0]
 	}
-	return nil
+	if len(st.dive) > 0 {
+		nd := st.dive[len(st.dive)-1]
+		st.dive = st.dive[:len(st.dive)-1]
+		return nd
+	}
+	if st.open.Len() == 0 {
+		return nil
+	}
+	nd := heap.Pop(st.open).(*node)
+	if nd.bound < st.res.Bound {
+		st.res.Bound = nd.bound
+	}
+	return nd
 }
 
-// step pops one node and expands it. It is called and returns with st.mu
-// held, releasing it around the node LP and the primal heuristics, and
-// reports whether the worker should go on.
-func (st *search) step(id int) bool {
+// step pops one node and expands it, reporting whether the search goes on.
+func (st *search) step() bool {
 	p, opts := st.p, st.opts
 	nd := st.pop()
 	if nd == nil {
@@ -424,17 +363,11 @@ func (st *search) step(id int) bool {
 		st.stop(statusOnLimit(st.bestX))
 		return false
 	}
-	// Effective proven bound: the live frontier (folding in
+	// Effective proven bound: the best queued node (folding in
 	// Options.BoundCap via res.Bound), floored by dropped subtrees, unless
 	// the external cap alone certifies the incumbent, which it does
-	// regardless of what the tree lost. nd is only the best queued node; a
-	// peer may be mid-LP on a node with a larger bound whose children are
-	// not pushed yet, so the frontier covers in-flight nodes too.
-	frontier := nd.bound
-	for _, b := range st.inflight {
-		frontier = math.Max(frontier, b)
-	}
-	eff := math.Max(st.lostBound, math.Min(frontier, st.res.Bound))
+	// regardless of what the tree lost.
+	eff := math.Max(st.lostBound, math.Min(nd.bound, st.res.Bound))
 	if opts.BoundCap > 0 {
 		eff = math.Min(eff, opts.BoundCap)
 	}
@@ -445,9 +378,7 @@ func (st *search) step(id int) bool {
 	}
 	st.explored++
 	nodeID := st.explored
-	st.inflight[id] = nd.bound
 	hadIncumbent := st.bestX != nil
-	st.mu.Unlock()
 
 	q := p.LP.Clone()
 	for _, ch := range nd.changes {
@@ -464,13 +395,8 @@ func (st *search) step(id int) bool {
 		lpOpts.Deadline = st.deadline
 	}
 	sol, err := q.Solve(lpOpts)
-
-	st.mu.Lock()
-	delete(st.inflight, id)
 	if err != nil {
-		if st.err == nil {
-			st.err = err
-		}
+		st.err = err
 		return false
 	}
 	if nd.depth == 0 {
@@ -478,9 +404,9 @@ func (st *search) step(id int) bool {
 		st.res.RootWarmed = sol.Warm
 	}
 	if st.pastDeadline() {
-		// The in-hand node left inflight above, so stop's sweep no longer
-		// sees its bound; its subtree is unexplored, so it joins lostBound
-		// like any dropped node.
+		// The in-hand node is in neither queue, so stop's sweep does not see
+		// its bound; its subtree is unexplored, so it joins lostBound like
+		// any dropped node.
 		st.drop(nd)
 		st.stop(statusOnLimit(st.bestX))
 		return false
@@ -492,9 +418,7 @@ func (st *search) step(id int) bool {
 		}
 		return true
 	case lp.Unbounded:
-		if st.err == nil {
-			st.err = fmt.Errorf("ilp: LP relaxation unbounded")
-		}
+		st.err = fmt.Errorf("ilp: LP relaxation unbounded")
 		return false
 	case lp.IterLimit:
 		// Unexplorable within the pivot or wall-clock budget.
@@ -545,29 +469,18 @@ func (st *search) step(id int) bool {
 
 	// Primal heuristics: the naive snap-and-check, plus the caller's
 	// domain heuristic. Run every node until an incumbent exists, then
-	// every 20th node. They run outside the lock (the caller's heuristic
-	// may itself solve LPs), and the node is in neither queue meanwhile,
-	// so it is re-registered as in flight: otherwise a peer could see an
-	// exhausted or gap-closed tree before its children are pushed.
+	// every 20th node.
 	if !hadIncumbent || nodeID%20 == 0 {
-		st.inflight[id] = sol.Objective
-		st.mu.Unlock()
-		var cands [][]float64
 		if rx, ok := roundAndCheck(q, sol.X, p.IntVars, opts.IntTol); ok {
-			cands = append(cands, rx)
+			st.accept(p.LP.Eval(rx), rx)
 		}
 		if opts.Heuristic != nil {
 			if hx := opts.Heuristic(sol.X); hx != nil && st.integralFeasible(hx) {
-				cands = append(cands, hx)
+				st.accept(p.LP.Eval(hx), hx)
 			}
 		}
-		st.mu.Lock()
-		delete(st.inflight, id)
-		for _, c := range cands {
-			st.accept(p.LP.Eval(c), c)
-		}
 		if sol.Objective <= st.res.Objective+opts.IntTol {
-			return true // pruned by an incumbent found meanwhile
+			return true // pruned by the incumbent just found
 		}
 	}
 

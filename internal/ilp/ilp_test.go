@@ -3,6 +3,7 @@ package ilp
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -189,23 +190,21 @@ func TestTimeLimitOnOpenTree(t *testing.T) {
 		weights[i] = float64(1 + rng.Intn(10000))
 		values[i] = weights[i] + 1000
 	}
-	for _, workers := range []int{1, 2} {
-		start := time.Now()
-		res, err := Solve(knapsack(values, weights, sum(weights)/2),
-			Options{TimeLimit: 50 * time.Millisecond, Workers: workers})
-		took := time.Since(start)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if took > 100*time.Millisecond {
-			t.Errorf("workers %d: returned after %v, limit 50ms", workers, took)
-		}
-		if res.Status != Feasible && res.Status != Limit {
-			t.Errorf("workers %d: status %v, want a limit status", workers, res.Status)
-		}
-		if res.Bound < res.Objective {
-			t.Errorf("workers %d: bound %v below incumbent %v", workers, res.Bound, res.Objective)
-		}
+	start := time.Now()
+	res, err := Solve(knapsack(values, weights, sum(weights)/2),
+		Options{TimeLimit: 50 * time.Millisecond})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took > 100*time.Millisecond {
+		t.Errorf("returned after %v, limit 50ms", took)
+	}
+	if res.Status != Feasible && res.Status != Limit {
+		t.Errorf("status %v, want a limit status", res.Status)
+	}
+	if res.Bound < res.Objective {
+		t.Errorf("bound %v below incumbent %v", res.Bound, res.Objective)
 	}
 }
 
@@ -446,5 +445,165 @@ func TestTraceOutput(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "lp=optimal") {
 		t.Error("trace missing LP status")
+	}
+}
+
+// The TestParallel* names below predate the serial search; they are kept
+// so test histories stay continuous. Each checks the one serial loop.
+
+// randomKnapsack draws an 8–15 item knapsack with real values and weights.
+func randomKnapsack(seed int64) (values, weights []float64, capacity float64) {
+	rng := rand.New(rand.NewSource(seed))
+	n := 8 + rng.Intn(8)
+	values = make([]float64, n)
+	weights = make([]float64, n)
+	for i := range values {
+		values[i] = 1 + 9*rng.Float64()
+		weights[i] = 1 + 9*rng.Float64()
+	}
+	return values, weights, sum(weights) / (1.5 + 2*rng.Float64())
+}
+
+// TestParallelMatchesSerialKnapsack checks the tree search on random
+// knapsacks with real-valued weights against brute-force enumeration: each
+// solve must end Optimal at the enumerated value, with a bound no lower.
+func TestParallelMatchesSerialKnapsack(t *testing.T) {
+	for seed := int64(0); seed < 25; seed++ {
+		values, weights, capacity := randomKnapsack(seed)
+		want := bruteKnapsack(values, weights, capacity)
+		res, err := Solve(knapsack(values, weights, capacity), Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Status != Optimal {
+			t.Fatalf("seed %d: status %v, want Optimal", seed, res.Status)
+		}
+		if math.Abs(res.Objective-want) > 1e-6 {
+			t.Fatalf("seed %d: objective %v, brute force %v", seed, res.Objective, want)
+		}
+		if res.Bound < res.Objective-1e-6 {
+			t.Fatalf("seed %d: bound %v below objective %v", seed, res.Bound, res.Objective)
+		}
+	}
+}
+
+func TestParallelInfeasible(t *testing.T) {
+	// x + y ≥ 3 over two binaries: no point, integral or not.
+	p := lp.NewProblem(2)
+	p.SetObjective(0, 1)
+	p.SetObjective(1, 1)
+	p.SetBounds(0, 0, 1)
+	p.SetBounds(1, 0, 1)
+	p.AddRow(lp.Row{Coeffs: []lp.Coef{{Var: 0, Val: 1}, {Var: 1, Val: 1}}, Op: lp.GE, RHS: 3})
+	res, err := Solve(&Problem{LP: p, IntVars: []int{0, 1}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Infeasible {
+		t.Fatalf("status %v, want Infeasible", res.Status)
+	}
+}
+
+func TestParallelMixedIntegerContinuous(t *testing.T) {
+	// max 5x + 4y, 6x + 4y ≤ 24, x + 2y ≤ 6, x integer, y continuous.
+	p := lp.NewProblem(2)
+	p.SetObjective(0, 5)
+	p.SetObjective(1, 4)
+	p.AddRow(lp.Row{Coeffs: []lp.Coef{{Var: 0, Val: 6}, {Var: 1, Val: 4}}, Op: lp.LE, RHS: 24})
+	p.AddRow(lp.Row{Coeffs: []lp.Coef{{Var: 0, Val: 1}, {Var: 1, Val: 2}}, Op: lp.LE, RHS: 6})
+	res, err := Solve(&Problem{LP: p, IntVars: []int{0}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// x=3, y=1.5 → 21: the LP optimum is already integral in x.
+	if res.Status != Optimal || math.Abs(res.Objective-21) > 1e-6 {
+		t.Fatalf("got %v obj %v, want optimal 21", res.Status, res.Objective)
+	}
+}
+
+// TestParallelWarmStartAndHeuristic: a warm start plus a heuristic that
+// proposes the warm point again (the accept path must dedup by objective)
+// still reaches the optimum and records the incumbent series.
+func TestParallelWarmStartAndHeuristic(t *testing.T) {
+	values := []float64{6, 5, 4, 3, 2, 7, 8, 1, 2, 5, 9, 4}
+	weights := []float64{3, 2, 4, 1, 5, 6, 7, 2, 3, 4, 8, 2}
+	capacity := sum(weights) / 2.2
+	warm := make([]float64, len(values))
+	warm[0], warm[1] = 1, 1 // feasible (weights 3+2 under any capacity here)
+	heuristic := func(x []float64) []float64 {
+		return append([]float64(nil), warm...)
+	}
+	want := bruteKnapsack(values, weights, capacity)
+	res, err := Solve(knapsack(values, weights, capacity), Options{WarmStart: warm, Heuristic: heuristic})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Optimal || math.Abs(res.Objective-want) > 1e-6 {
+		t.Fatalf("got %v obj %v, brute force %v", res.Status, res.Objective, want)
+	}
+	if len(res.Incumbents) == 0 {
+		t.Fatal("no incumbents recorded")
+	}
+}
+
+// TestParallelNodeLimitReturnsIncumbent checks that a node-limited solve
+// still reports a feasible incumbent and a valid bound.
+func TestParallelNodeLimitReturnsIncumbent(t *testing.T) {
+	rng := rand.New(rand.NewSource(99))
+	n := 18
+	values := make([]float64, n)
+	weights := make([]float64, n)
+	for i := range values {
+		values[i] = 1 + 9*rng.Float64()
+		weights[i] = 1 + 9*rng.Float64()
+	}
+	capacity := sum(weights) / 3
+	warm := make([]float64, n) // empty knapsack is always feasible
+	res, err := Solve(knapsack(values, weights, capacity), Options{MaxNodes: 5, WarmStart: warm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != Feasible && res.Status != Optimal {
+		t.Fatalf("status = %v, want Feasible or Optimal", res.Status)
+	}
+	if res.Bound < res.Objective-1e-6 {
+		t.Fatalf("bound %v below incumbent %v", res.Bound, res.Objective)
+	}
+}
+
+// TestParallelHeuristicWindowOnOneCPU pins the bound around the heuristic
+// window: the node whose LP point the heuristic sees is in neither queue
+// until its children are pushed, so a solve stopped at any node limit must
+// still report a bound no lower than the optimum, and an Optimal claim (or
+// an unlimited solve) must match brute force. It runs on one CPU, as the
+// search itself does.
+func TestParallelHeuristicWindowOnOneCPU(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for seed := int64(0); seed < 60; seed++ {
+		values, weights, capacity := randomKnapsack(seed)
+		want := bruteKnapsack(values, weights, capacity)
+		for maxNodes := 0; maxNodes <= 12; maxNodes++ { // 0 = unlimited
+			calls := 0
+			heuristic := func([]float64) []float64 {
+				calls++
+				return nil
+			}
+			res, err := Solve(knapsack(values, weights, capacity),
+				Options{Heuristic: heuristic, MaxNodes: maxNodes})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if calls == 0 {
+				t.Fatalf("seed %d maxNodes %d: heuristic never called", seed, maxNodes)
+			}
+			if res.Bound < want-1e-6 {
+				t.Fatalf("seed %d maxNodes %d: bound %v below the optimum %v",
+					seed, maxNodes, res.Bound, want)
+			}
+			if (res.Status == Optimal || maxNodes == 0) && math.Abs(res.Objective-want) > 1e-6 {
+				t.Fatalf("seed %d maxNodes %d: %v objective %v, brute force %v",
+					seed, maxNodes, res.Status, res.Objective, want)
+			}
+		}
 	}
 }

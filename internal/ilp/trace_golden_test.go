@@ -53,13 +53,11 @@ func goldenProblems(t testing.TB) map[string]*Problem {
 	}
 }
 
-// TestSerialTraceGolden pins the node trace of Workers 1 (1 = one worker,
-// the node order the goldens pin; any count proves the same optimum, argmax
-// may differ) to the trace the pre-fast-path solver produced
-// (testdata/*.golden, generated at the seed commit with -update-golden): the
-// sparse simplex, warm-started node LPs, and the worker-pool search must
-// reproduce the same node order, LP objectives, and branching decisions bit
-// for bit.
+// TestSerialTraceGolden pins the node trace of the branch-and-bound loop to
+// the trace the pre-fast-path solver produced (testdata/*.golden, generated
+// at the seed commit with -update-golden): the sparse simplex, warm-started
+// node LPs, and the search must reproduce the same node order, LP
+// objectives, and branching decisions bit for bit.
 func TestSerialTraceGolden(t *testing.T) {
 	for name, prob := range goldenProblems(t) {
 		t.Run(name, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"sfp/internal/model"
 )
@@ -114,7 +113,7 @@ func TestIPRespectsAuxCeil(t *testing.T) {
 	}
 }
 
-// TestIPDominatesHeuristics: a time-capped warm-started IP must never
+// TestIPDominatesHeuristics: a node-capped warm-started IP must never
 // report a worse objective than greedy or a provided approximation warm
 // start — the warm-start machinery guarantees it.
 func TestIPDominatesHeuristics(t *testing.T) {
@@ -130,9 +129,9 @@ func TestIPDominatesHeuristics(t *testing.T) {
 			t.Fatal(err)
 		}
 		ip, err := SolveIP(in, IPOptions{
-			Build:     model.BuildOptions{Consolidate: true},
-			TimeLimit: 3 * time.Second,
-			WarmFrom:  ap.Assignment,
+			Build:    model.BuildOptions{Consolidate: true},
+			MaxNodes: initialNodes,
+			WarmFrom: ap.Assignment,
 		})
 		if err != nil {
 			t.Fatal(err)

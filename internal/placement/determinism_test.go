@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sfp/internal/model"
@@ -74,26 +75,36 @@ func TestApproxRepeatableSameSeed(t *testing.T) {
 	}
 }
 
-// TestIPParallelMatchesSerialObjective: SFP-IP must prove the same optimum
-// with four tree-search workers as with one.
+// TestIPParallelMatchesSerialObjective: a SolveIP bounded by MaxNodes
+// alone depends only on its input, so under a parallel scheduler
+// (GOMAXPROCS 4) it must match the serial one (GOMAXPROCS 1) bit for bit:
+// status, objective and bound bits, node count and assignment. The
+// instance stops at the node budget with an open gap, so the heuristic,
+// the dive and the best-bound phase all run.
 func TestIPParallelMatchesSerialObjective(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	in := smallInstance(rng, 4)
-	serial, err := SolveIP(in, IPOptions{Build: model.BuildOptions{Consolidate: true}})
-	if err != nil {
-		t.Fatal(err)
+	in := smallInstance(rand.New(rand.NewSource(4)), 8)
+	solve := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := SolveIP(in, IPOptions{Build: model.BuildOptions{Consolidate: true}, MaxNodes: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	par, err := SolveIP(in, IPOptions{Build: model.BuildOptions{Consolidate: true}, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	one, four := solve(1), solve(4)
+	if one.Status != "feasible(limit)" {
+		t.Fatalf("status %s, want the node budget to bind", one.Status)
 	}
-	if par.Status != serial.Status {
-		t.Fatalf("parallel status %s, serial %s", par.Status, serial.Status)
+	if one.Status != four.Status || one.Nodes != four.Nodes ||
+		math.Float64bits(one.Objective) != math.Float64bits(four.Objective) ||
+		math.Float64bits(one.Bound) != math.Float64bits(four.Bound) {
+		t.Fatalf("GOMAXPROCS 1: %s obj %v bound %v nodes %d; GOMAXPROCS 4: %s obj %v bound %v nodes %d",
+			one.Status, one.Objective, one.Bound, one.Nodes, four.Status, four.Objective, four.Bound, four.Nodes)
 	}
-	if math.Abs(par.Objective-serial.Objective) > 1e-6 {
-		t.Fatalf("parallel objective %v, serial %v", par.Objective, serial.Objective)
+	if !reflect.DeepEqual(one.Assignment, four.Assignment) {
+		t.Fatal("assignments differ across GOMAXPROCS")
 	}
-	if err := model.Verify(in, par.Assignment, true); err != nil {
+	if err := model.Verify(in, one.Assignment, true); err != nil {
 		t.Fatal(err)
 	}
 }

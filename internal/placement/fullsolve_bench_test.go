@@ -104,7 +104,6 @@ func benchFullSolveExact(b *testing.B, L int, limit time.Duration) {
 			TimeLimit: limit,
 			RelGap:    0.005,
 			BoundCap:  pre.Bound,
-			Workers:   runtime.NumCPU(),
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -14,7 +14,6 @@ package placement
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"sfp/internal/ilp"
@@ -75,10 +74,6 @@ type IPOptions struct {
 	// (e.g. an SFP-Appro result) in addition to the greedy warm start; the
 	// better incumbent wins. Ignored under NoWarmStart.
 	WarmFrom *model.Assignment
-	// Workers sets the branch-and-bound worker count (see ilp.Options
-	// .Workers; 0 means 1): 1 = one worker, the node order the goldens pin;
-	// any count proves the same optimum, argmax may differ.
-	Workers int
 	// WarmBasis, when non-nil, warm-starts the root LP from a prior solve's
 	// RootBasis (cross-replan warm start). A basis whose shape does not
 	// match the built model is ignored and the root solves cold — the
@@ -138,13 +133,9 @@ func SolveIP(in *model.Instance, opts IPOptions) (*Result, error) {
 	}
 	// Domain primal heuristic: round the node's LP point with the same
 	// structured randomized rounding Algorithm 1 uses, repair it, and hand
-	// the branch-and-bound a feasible incumbent candidate. The mutex keeps
-	// the shared RNG safe when parallel workers invoke the heuristic.
+	// the branch-and-bound a feasible incumbent candidate.
 	hRng := rand.New(rand.NewSource(4242))
-	var hMu sync.Mutex
 	heuristic := func(x []float64) []float64 {
-		hMu.Lock()
-		defer hMu.Unlock()
 		a, ok := roundAndRepair(in, enc, x, ApproxOptions{Build: build, Rounds: 8}, hRng)
 		if !ok {
 			return nil
@@ -165,7 +156,6 @@ func SolveIP(in *model.Instance, opts IPOptions) (*Result, error) {
 		CeilVars:     enc.AuxVars(),
 		WarmStart:    warm,
 		Heuristic:    heuristic,
-		Workers:      opts.Workers,
 		WarmBasis:    opts.WarmBasis,
 		BoundCap:     opts.BoundCap,
 		RelGap:       opts.RelGap,

@@ -22,6 +22,16 @@ func smallInstance(rng *rand.Rand, L int) *model.Instance {
 	}
 }
 
+// Node budgets stand in for wall-clock caps in these tests: a budget stops
+// every run at the same node, so no result depends on host speed.
+const (
+	// initialNodes bounds solves whose incumbent only seeds what follows.
+	initialNodes = 40
+	// replanNodes bounds replans, whose trees close in at most 600 nodes
+	// on these instances.
+	replanNodes = 5000
+)
+
 func TestSolveIPSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	in := smallInstance(rng, 4)
@@ -215,8 +225,8 @@ func TestIPTimeLimitEarlyTermination(t *testing.T) {
 	if warm.Objective <= 0 {
 		t.Errorf("warm-started objective = %v, want > 0", warm.Objective)
 	}
-	// A generous limit can only improve on the warm start.
-	res2, err := SolveIP(in, IPOptions{Build: model.BuildOptions{Consolidate: true}, TimeLimit: 20 * time.Second})
+	// A node budget can only improve on the warm start.
+	res2, err := SolveIP(in, IPOptions{Build: model.BuildOptions{Consolidate: true}, MaxNodes: initialNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +242,7 @@ func TestUpdaterLifecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := smallInstance(rng, 6)
 	build := model.BuildOptions{Consolidate: true}
-	initial, err := SolveIP(in, IPOptions{Build: build, TimeLimit: 10 * time.Second})
+	initial, err := SolveIP(in, IPOptions{Build: build, MaxNodes: initialNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +273,7 @@ func TestUpdaterLifecycle(t *testing.T) {
 	if err := u.Arrive(newChain); err == nil {
 		t.Error("duplicate arrival accepted")
 	}
-	mAfterReplan, err := u.Replan(ReplanOptions{TimeLimit: 20 * time.Second})
+	mAfterReplan, err := u.Replan(ReplanOptions{MaxNodes: replanNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +321,7 @@ func TestUpdaterAdjust(t *testing.T) {
 	if len(u.Live()) != 0 || u.Waiting() != 1 {
 		t.Fatalf("live=%v waiting=%d after adjust", u.Live(), u.Waiting())
 	}
-	m, err := u.Replan(ReplanOptions{TimeLimit: 10 * time.Second})
+	m, err := u.Replan(ReplanOptions{MaxNodes: replanNodes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -346,11 +346,9 @@ type ReplanOptions struct {
 	// solve's root LP (lp.Options.WarmBasis semantics: a shape-mismatched
 	// basis is ignored and the root solves cold, deterministically).
 	WarmBasis *lp.Basis
-	// SolverWorkers sets the worker count for the embedded solves:
-	// branch-and-bound workers on the IP paths, pricing workers on
-	// MaybeReconfigure's decomposed path. 0 means 1. 1 = one worker, the
-	// node order the goldens pin; any count proves the same optimum,
-	// argmax may differ.
+	// SolverWorkers sets the pricing worker count on MaybeReconfigure's
+	// decomposed path (0 means 1). It never changes a result: per-chain
+	// pricing results are merged in chain order.
 	SolverWorkers int
 	// DecomposeAbove routes MaybeReconfigure's full re-optimization to the
 	// Lagrangian decomposition (SolveDecomposed) once the total chain count
@@ -427,7 +425,6 @@ func (u *Updater) replanFast(opts ReplanOptions, start time.Time) (model.Metrics
 		MaxNodes:  opts.MaxNodes,
 		CeilVars:  f.resid.AuxVars(),
 		WarmBasis: wb,
-		Workers:   opts.SolverWorkers,
 	})
 	if err != nil {
 		return model.Metrics{}, err
@@ -509,7 +506,6 @@ func (u *Updater) replanFull(opts ReplanOptions, start time.Time) (model.Metrics
 		PriorityVars: enc.XVars(),
 		CeilVars:     enc.AuxVars(),
 		WarmBasis:    wb,
-		Workers:      opts.SolverWorkers,
 	})
 	if err != nil {
 		return model.Metrics{}, err
@@ -670,7 +666,6 @@ func (u *Updater) MaybeReconfigure(threshold float64, opts ReplanOptions) (bool,
 			Build:     u.build,
 			TimeLimit: opts.TimeLimit,
 			MaxNodes:  opts.MaxNodes,
-			Workers:   opts.SolverWorkers,
 			WarmBasis: wb,
 		})
 		if err != nil {

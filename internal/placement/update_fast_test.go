@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"sfp/internal/model"
 )
@@ -39,13 +38,15 @@ func churnChain(rng *rand.Rand, id, numTypes int) *model.Chain {
 // randomized arrive/depart churn, the default incremental replan must reach
 // the same objective as the full-rebuild reference over the same state, and
 // every produced placement must pass model.Verify (the Updater verifies
-// internally and errors otherwise).
+// internally and errors otherwise). Both replans must close their trees
+// inside replanNodes: a solve the budget cut short proves no optimum, so
+// its objective would not have to match.
 func TestReplanFastMatchesFullChurn(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(600 + seed))
 		in := smallInstance(rng, 6)
 		build := model.BuildOptions{Consolidate: true}
-		initial, err := SolveIP(in, IPOptions{Build: build, TimeLimit: 20 * time.Second})
+		initial, err := SolveIP(in, IPOptions{Build: build, MaxNodes: initialNodes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,13 +70,16 @@ func TestReplanFastMatchesFullChurn(t *testing.T) {
 			}
 
 			ref := refUpdater(t, u)
-			mFull, err := ref.Replan(ReplanOptions{FullRebuild: true, TimeLimit: 30 * time.Second})
+			mFull, err := ref.Replan(ReplanOptions{FullRebuild: true, MaxNodes: replanNodes})
 			if err != nil {
 				t.Fatalf("seed %d step %d: full replan: %v", seed, step, err)
 			}
-			mFast, err := u.Replan(ReplanOptions{TimeLimit: 30 * time.Second})
+			mFast, err := u.Replan(ReplanOptions{MaxNodes: replanNodes})
 			if err != nil {
 				t.Fatalf("seed %d step %d: fast replan: %v", seed, step, err)
+			}
+			if nf, nr := ref.LastReplan().Nodes, u.LastReplan().Nodes; nf >= replanNodes || nr >= replanNodes {
+				t.Fatalf("seed %d step %d: replan hit the node budget (full %d, fast %d nodes)", seed, step, nf, nr)
 			}
 			if math.Abs(mFast.Objective-mFull.Objective) > 1e-6 {
 				t.Fatalf("seed %d step %d: fast objective %v, full %v",
@@ -112,7 +116,7 @@ func TestReplanFastEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	in := smallInstance(rng, 5)
 	build := model.BuildOptions{Consolidate: true}
-	initial, err := SolveIP(in, IPOptions{Build: build, TimeLimit: 20 * time.Second})
+	initial, err := SolveIP(in, IPOptions{Build: build, MaxNodes: initialNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestReplanFastEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain the waiting set, then replan again: nothing to do.
-	if _, err := u.Replan(ReplanOptions{TimeLimit: 20 * time.Second}); err != nil {
+	if _, err := u.Replan(ReplanOptions{MaxNodes: replanNodes}); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range append([]int(nil), u.ids...) {
@@ -129,7 +133,7 @@ func TestReplanFastEdgeCases(t *testing.T) {
 			u.Withdraw(id)
 		}
 	}
-	m1, err := u.Replan(ReplanOptions{TimeLimit: 20 * time.Second})
+	m1, err := u.Replan(ReplanOptions{MaxNodes: replanNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +147,7 @@ func TestReplanFastEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m2, err := u.Replan(ReplanOptions{TimeLimit: 20 * time.Second})
+	m2, err := u.Replan(ReplanOptions{MaxNodes: replanNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,7 @@ func TestReplanFastEdgeCases(t *testing.T) {
 	if err := u.Arrive(churnChain(rng, 9000, in.NumTypes)); err != nil {
 		t.Fatal(err)
 	}
-	m3, err := u.Replan(ReplanOptions{TimeLimit: 20 * time.Second})
+	m3, err := u.Replan(ReplanOptions{MaxNodes: replanNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func TestReplanEncodesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	in := smallInstance(rng, 5)
 	build := model.BuildOptions{Consolidate: true}
-	initial, err := SolveIP(in, IPOptions{Build: build, TimeLimit: 20 * time.Second})
+	initial, err := SolveIP(in, IPOptions{Build: build, MaxNodes: initialNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +190,7 @@ func TestReplanEncodesOnce(t *testing.T) {
 		if err := u.Arrive(churnChain(rng, 7000+n, in.NumTypes)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := u.Replan(ReplanOptions{TimeLimit: 20 * time.Second}); err != nil {
+		if _, err := u.Replan(ReplanOptions{MaxNodes: replanNodes}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -206,7 +210,7 @@ func TestReplanWarmStarts(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	in := smallInstance(rng, 5)
 	build := model.BuildOptions{Consolidate: true}
-	initial, err := SolveIP(in, IPOptions{Build: build, TimeLimit: 20 * time.Second})
+	initial, err := SolveIP(in, IPOptions{Build: build, MaxNodes: initialNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +218,7 @@ func TestReplanWarmStarts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.Replan(ReplanOptions{TimeLimit: 20 * time.Second}); err != nil {
+	if _, err := u.Replan(ReplanOptions{MaxNodes: replanNodes}); err != nil {
 		t.Fatal(err)
 	}
 	warmed := 0
@@ -222,7 +226,7 @@ func TestReplanWarmStarts(t *testing.T) {
 		if err := u.Arrive(churnChain(rng, 8000+n, in.NumTypes)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := u.Replan(ReplanOptions{TimeLimit: 20 * time.Second}); err != nil {
+		if _, err := u.Replan(ReplanOptions{MaxNodes: replanNodes}); err != nil {
 			t.Fatal(err)
 		}
 		if st := u.LastReplan(); st.WarmStarted {
@@ -244,7 +248,7 @@ func TestMaybeReconfigureWarmStarts(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	in := smallInstance(rng, 5)
 	build := model.BuildOptions{Consolidate: true}
-	initial, err := SolveIP(in, IPOptions{Build: build, TimeLimit: 20 * time.Second})
+	initial, err := SolveIP(in, IPOptions{Build: build, MaxNodes: initialNodes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +257,13 @@ func TestMaybeReconfigureWarmStarts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First call records the root basis (threshold 0 never adopts).
-	if _, _, err := u.MaybeReconfigure(0, ReplanOptions{TimeLimit: 20 * time.Second}); err != nil {
+	if _, _, err := u.MaybeReconfigure(0, ReplanOptions{MaxNodes: replanNodes}); err != nil {
 		t.Fatal(err)
 	}
 	if u.fullBasis == nil {
 		t.Skip("first full solve produced no root basis snapshot")
 	}
-	if _, _, err := u.MaybeReconfigure(0, ReplanOptions{TimeLimit: 20 * time.Second}); err != nil {
+	if _, _, err := u.MaybeReconfigure(0, ReplanOptions{MaxNodes: replanNodes}); err != nil {
 		t.Fatal(err)
 	}
 	if !u.LastReplan().WarmStarted {

@@ -16,11 +16,11 @@ cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "recover" ]]; then
     echo "== go test -race (WAL corruption + recovery)"
-    go test -race -v ./internal/wal/
+    go test -race -timeout 5m -v ./internal/wal/
     echo "== go test -race (kill/restart convergence suite)"
-    go test -race -v -run 'TestRecover|TestJournalFullScenario|TestKillRestartConvergence|TestDepart|TestReconcile|TestReplayDepartManyPartialCommit|TestCrashMidGroupCommitTornTail|TestOffLockSnapshotRotation' ./internal/core/
+    go test -race -timeout 5m -v -run 'TestRecover|TestJournalFullScenario|TestKillRestartConvergence|TestDepart|TestReconcile|TestReplayDepartManyPartialCommit|TestCrashMidGroupCommitTornTail|TestOffLockSnapshotRotation' ./internal/core/
     echo "== go test (codec fuzz corpus replay)"
-    go test -run 'Fuzz|TestSkipValueDepthGuard' ./internal/p4rt/
+    go test -timeout 5m -run 'Fuzz|TestSkipValueDepthGuard' ./internal/p4rt/
     echo "== recovery checks passed"
     exit 0
 fi
@@ -48,7 +48,10 @@ go -C cmd/sfpbench vet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== go test -race ./..."
-go test -race ./...
+# An explicit per-package timeout: a hung test fails in minutes rather than
+# at go test's 10 m default. The slowest package (placement) takes ~75 s
+# under -race on 2 CPUs.
+echo "== go test -race -timeout 8m ./..."
+go test -race -timeout 8m ./...
 
 echo "== all checks passed"
