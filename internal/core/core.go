@@ -352,7 +352,7 @@ func (c *Controller) Provision(sfcs []*vswitch.SFC) (model.Metrics, error) {
 	if c.log != nil {
 		st := &stateRec{
 			Provisioned: true,
-			SFCs:        fromSFCs(sortSFCs(sfcs)),
+			SFCs:        sortSFCs(sfcs),
 			Live:        deployedEntries(in, res.Assignment, nil),
 			Layout:      cloneLayout(res.Assignment.X),
 		}
@@ -759,7 +759,7 @@ func (c *Controller) ArriveMany(sfcs []*vswitch.SFC) ([]uint32, error) {
 	// Stage the registration record: it becomes durable together with the
 	// place intent under a single fsync (or alone, if the replan fails and
 	// the batch stays waiting).
-	if err := c.journal(recArriveRegister, &registerRec{SFCs: fromSFCs(sortSFCs(sfcs))}); err != nil {
+	if err := c.journal(recArriveRegister, &registerRec{SFCs: sortSFCs(sfcs)}); err != nil {
 		for _, s := range sfcs {
 			c.updater.Withdraw(int(s.Tenant))
 			delete(c.sfcs, s.Tenant)

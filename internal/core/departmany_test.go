@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -81,6 +80,9 @@ func TestReplayDepartManyPartialCommit(t *testing.T) {
 		rec, err := encodeRec(kind, payload)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if rec[0]&recBinary == 0 {
+			t.Fatalf("kind %d encoded as a legacy record", kind)
 		}
 		if err := st.apply(rec); err != nil {
 			t.Fatal(err)
@@ -301,20 +303,30 @@ func TestOffLockSnapshotRotation(t *testing.T) {
 	}
 }
 
-// sanity: the departmany replay commit record round-trips as JSON the
-// journal can re-parse (guards against field renames breaking recovery of
-// journals written by earlier builds).
+// TestDepartManyRecRoundTrip: the departmany begin record and its partial
+// commit decode back to what was encoded, as binary records of their own
+// kinds.
 func TestDepartManyRecRoundTrip(t *testing.T) {
-	in := departManyRec{Entries: []departRec{{Tenant: 9, Placed: true}, {Tenant: 10}}}
-	b, err := json.Marshal(&in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out departManyRec
-	if err := json.Unmarshal(b, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("round trip: %+v != %+v", out, in)
+	for _, tc := range []struct {
+		kind    byte
+		payload any
+	}{
+		{recDepartManyBegin, &departManyRec{Entries: []departRec{{Tenant: 9, Placed: true}, {Tenant: 10}}}},
+		{recDepartManyCommit, &abortRec{Tenants: []uint32{9}}},
+	} {
+		b, err := encodeRec(tc.kind, tc.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b[0] != recBinary|tc.kind {
+			t.Fatalf("kind byte %#x, want binary kind %d", b[0], tc.kind)
+		}
+		kind, out, err := decodeRec(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != tc.kind || !reflect.DeepEqual(out, tc.payload) {
+			t.Fatalf("round trip: kind %d %+v != kind %d %+v", kind, out, tc.kind, tc.payload)
+		}
 	}
 }

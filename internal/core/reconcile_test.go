@@ -1,6 +1,8 @@
 package core
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -205,4 +207,88 @@ func BenchmarkReconcile1k(b *testing.B) {
 		}
 		r.Close()
 	}
+}
+
+// fatTenant is one stack-fat-1k-shaped tenant: 2-4 NFs of 16-48 rules and
+// 1-4 users at 50 Mbit/s each.
+func fatTenant(rng *rand.Rand, id uint32) *vswitch.SFC {
+	s := &vswitch.SFC{Tenant: id, BandwidthGbps: float64(1+rng.Intn(4)) * 0.05}
+	for n := 2 + rng.Intn(3); n > 0; n-- {
+		t := nf.Type(1 + rng.Intn(nf.TypeCount))
+		s.NFs = append(s.NFs, nf.Synthesize(t, 16+rng.Intn(33), rng))
+	}
+	return s
+}
+
+// BenchmarkRecoverFat1k measures RecoverSwitch on the journal of a
+// 1000-tenant controller of rule-heavy tenants: a snapshot of the
+// provisioned fleet followed by 300 churn transactions (one three-tenant
+// ArriveMany or DepartMany each), the shape stack-fat-1k's crash leaves. It
+// reports the journal bytes each churn transaction appended.
+func BenchmarkRecoverFat1k(b *testing.B) {
+	const live, txns = 1000, 300
+	opts := benchOptions()
+	// The pipeline stack-fat-1k sizes for 1000 tenants: memory for the
+	// worst-case shape with triple headroom, a backplane that binds.
+	opts.Pipeline.BlocksPerStage = 108
+	opts.Pipeline.CapacityGbps = 0.14*live + 0.02
+	rng := rand.New(rand.NewSource(11))
+	next := uint32(0)
+	batch := func(n int) []*vswitch.SFC {
+		out := make([]*vswitch.SFC, n)
+		for i := range out {
+			next++
+			out[i] = fatTenant(rng, next)
+		}
+		return out
+	}
+	dir := b.TempDir()
+	c, err := Recover(dir, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.Provision(batch(live)); err != nil {
+		b.Fatal(err)
+	}
+	if err := c.snapshotNow(); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < txns; i++ {
+		if i%2 == 0 {
+			if _, err := c.ArriveMany(batch(3)); err != nil {
+				b.Fatal(err)
+			}
+			continue
+		}
+		known := sortedTenants(c.sfcs)
+		rng.Shuffle(len(known), func(i, j int) { known[i], known[j] = known[j], known[i] })
+		if err := c.DepartMany(known[:3]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	placed := len(c.PlacedTenants())
+	if err := c.Close(); err != nil {
+		b.Fatal(err)
+	}
+	tail, err := filepath.Glob(filepath.Join(dir, "wal-*"))
+	if err != nil || len(tail) != 1 {
+		b.Fatalf("journal files %v: %v", tail, err)
+	}
+	fi, err := os.Stat(tail[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := RecoverSwitch(dir, nil, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := len(r.PlacedTenants()); got != placed {
+			b.Fatalf("recovered %d placed tenants, want %d", got, placed)
+		}
+		r.Close()
+	}
+	b.ReportMetric(float64(fi.Size())/txns, "journal-B/txn")
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
 	"sfp/internal/model"
-	"sfp/internal/p4rt"
 	"sfp/internal/pipeline"
 	"sfp/internal/placement"
 	"sfp/internal/vswitch"
@@ -49,14 +47,10 @@ const (
 	placedEmpty            // reconfig abort: fresh switch rolled back empty
 )
 
-func (s *replayState) adoptState(st *stateRec, mode int) error {
+func (s *replayState) adoptState(st *stateRec, mode int) {
 	s.provisioned = st.Provisioned
 	s.sfcs = make(map[uint32]*vswitch.SFC, len(st.SFCs))
-	for _, spec := range st.SFCs {
-		sfc, err := spec.ToSFC()
-		if err != nil {
-			return fmt.Errorf("core: replay sfc %d: %w", spec.Tenant, err)
-		}
+	for _, sfc := range st.SFCs {
 		s.sfcs[sfc.Tenant] = sfc
 	}
 	s.live = make(map[uint32][]int, len(st.Live))
@@ -78,44 +72,31 @@ func (s *replayState) adoptState(st *stateRec, mode int) error {
 			s.placed[t] = true
 		}
 	}
-	return nil
 }
 
-// apply folds one journal record (kind byte + JSON payload) into the state.
+// apply folds one journal record, binary or legacy JSON, into the state.
 func (s *replayState) apply(rec []byte) error {
-	if len(rec) == 0 {
-		return fmt.Errorf("core: empty journal record")
+	kind, p, err := decodeRec(rec)
+	if err != nil {
+		return err
 	}
-	kind, body := rec[0], rec[1:]
 	switch kind {
 	case recSnapshot:
-		var st stateRec
-		if err := json.Unmarshal(body, &st); err != nil {
-			return fmt.Errorf("core: replay snapshot: %w", err)
-		}
 		s.clearPending()
-		return s.adoptState(&st, placedFromField)
+		s.adoptState(p.(*stateRec), placedFromField)
 
 	case recProvisionBegin, recReconfigBegin:
-		var st stateRec
-		if err := json.Unmarshal(body, &st); err != nil {
-			return fmt.Errorf("core: replay begin: %w", err)
-		}
-		s.pendKind, s.pendState = kind, &st
+		s.pendKind, s.pendState = kind, p.(*stateRec)
 
 	case recProvisionCommit:
 		if s.pendKind == recProvisionBegin && s.pendState != nil {
-			if err := s.adoptState(s.pendState, placedFromLive); err != nil {
-				return err
-			}
+			s.adoptState(s.pendState, placedFromLive)
 		}
 		s.clearPending()
 
 	case recReconfigCommit:
 		if s.pendKind == recReconfigBegin && s.pendState != nil {
-			if err := s.adoptState(s.pendState, placedFromLive); err != nil {
-				return err
-			}
+			s.adoptState(s.pendState, placedFromLive)
 		}
 		s.clearPending()
 
@@ -124,9 +105,7 @@ func (s *replayState) apply(rec []byte) error {
 		// and keeps it after the failed install; only the data plane (and
 		// therefore the placed set) rolled back to empty.
 		if s.pendKind == recReconfigBegin && s.pendState != nil {
-			if err := s.adoptState(s.pendState, placedEmpty); err != nil {
-				return err
-			}
+			s.adoptState(s.pendState, placedEmpty)
 		}
 		s.clearPending()
 
@@ -134,24 +113,12 @@ func (s *replayState) apply(rec []byte) error {
 		s.clearPending()
 
 	case recArriveRegister:
-		var r registerRec
-		if err := json.Unmarshal(body, &r); err != nil {
-			return fmt.Errorf("core: replay register: %w", err)
-		}
-		for _, spec := range r.SFCs {
-			sfc, err := spec.ToSFC()
-			if err != nil {
-				return fmt.Errorf("core: replay register %d: %w", spec.Tenant, err)
-			}
+		for _, sfc := range p.(*registerRec).SFCs {
 			s.sfcs[sfc.Tenant] = sfc
 		}
 
 	case recPlaceBegin:
-		var p placeRec
-		if err := json.Unmarshal(body, &p); err != nil {
-			return fmt.Errorf("core: replay place begin: %w", err)
-		}
-		s.pendKind, s.pendPlace = kind, &p
+		s.pendKind, s.pendPlace = kind, p.(*placeRec)
 
 	case recPlaceCommit:
 		if s.pendKind == recPlaceBegin && s.pendPlace != nil {
@@ -166,10 +133,7 @@ func (s *replayState) apply(rec []byte) error {
 		s.clearPending()
 
 	case recPlaceAbort:
-		var a abortRec
-		if err := json.Unmarshal(body, &a); err != nil {
-			return fmt.Errorf("core: replay place abort: %w", err)
-		}
+		a := p.(*abortRec)
 		if s.pendKind == recPlaceBegin && s.pendPlace != nil {
 			// The replan's planner mutations survive the failed install
 			// (admitted chains stay live, the layout keeps its growth);
@@ -198,30 +162,18 @@ func (s *replayState) apply(rec []byte) error {
 	case recDepartBegin:
 		// A legacy single-tenant begin is a one-entry batch; its commit
 		// and abort share the batch cases below.
-		var d departRec
-		if err := json.Unmarshal(body, &d); err != nil {
-			return fmt.Errorf("core: replay depart begin: %w", err)
-		}
-		s.pendKind, s.pendDepartMany = recDepartManyBegin, &departManyRec{Entries: []departRec{d}}
+		s.pendKind, s.pendDepartMany = recDepartManyBegin, &departManyRec{Entries: []departRec{*p.(*departRec)}}
 
 	case recDepartManyBegin:
-		var d departManyRec
-		if err := json.Unmarshal(body, &d); err != nil {
-			return fmt.Errorf("core: replay departmany begin: %w", err)
-		}
-		s.pendKind, s.pendDepartMany = kind, &d
+		s.pendKind, s.pendDepartMany = kind, p.(*departManyRec)
 
 	case recDepartManyCommit, recDepartCommit:
 		if s.pendKind == recDepartManyBegin && s.pendDepartMany != nil {
 			// A bare commit removes the whole batch; a commit carrying
 			// an abortRec removes only the listed tenants (the planner
 			// refused partway and the rest were restored in place).
-			departed := make([]uint32, 0, len(s.pendDepartMany.Entries))
-			if len(body) > 0 {
-				var a abortRec
-				if err := json.Unmarshal(body, &a); err != nil {
-					return fmt.Errorf("core: replay departmany commit: %w", err)
-				}
+			var departed []uint32
+			if a, ok := p.(*abortRec); ok {
 				departed = a.Tenants
 			} else {
 				for _, e := range s.pendDepartMany.Entries {
@@ -238,9 +190,6 @@ func (s *replayState) apply(rec []byte) error {
 
 	case recDepartManyAbort, recDepartAbort:
 		s.clearPending()
-
-	default:
-		return fmt.Errorf("core: unknown journal record kind %d", kind)
 	}
 	return nil
 }
@@ -417,14 +366,5 @@ func deployedEntries(in *model.Instance, a *model.Assignment, skip map[uint32]bo
 		out = append(out, liveEntry{Tenant: t, Stages: append([]int(nil), a.Stages[l]...)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
-// fromSFCs converts a batch to wire specs in batch order.
-func fromSFCs(sfcs []*vswitch.SFC) []*p4rt.SFCSpec {
-	out := make([]*p4rt.SFCSpec, 0, len(sfcs))
-	for _, s := range sfcs {
-		out = append(out, p4rt.FromSFC(s))
-	}
 	return out
 }

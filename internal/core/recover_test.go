@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -499,16 +500,17 @@ func (p *pointRecorder) index(point string) int {
 	return -1
 }
 
-// TestStateViewEncodesAsStateRec: a snapshot encoded from a captured view
-// is byte-identical to the JSON of the equivalent fully converted stateRec
-// (the reference capture below), before provisioning and after a scenario.
+// TestStateViewEncodesAsStateRec: a snapshot streamed from a captured
+// state is byte-identical to the binary encoding of the equivalent state
+// built from the planner (the reference capture below), before
+// provisioning and after every scenario step, and decodes back to it.
 func TestStateViewEncodesAsStateRec(t *testing.T) {
 	reference := func(c *Controller) *stateRec {
 		st := &stateRec{Provisioned: c.updater != nil}
 		info := c.lastInfo
 		st.Info = &info
 		for _, t := range sortedTenants(c.sfcs) {
-			st.SFCs = append(st.SFCs, p4rt.FromSFC(c.sfcs[t]))
+			st.SFCs = append(st.SFCs, c.sfcs[t])
 		}
 		st.Placed = sortedKeys(c.placed)
 		if c.updater != nil {
@@ -520,16 +522,24 @@ func TestStateViewEncodesAsStateRec(t *testing.T) {
 	}
 	same := func(c *Controller, where string) {
 		t.Helper()
-		got, err := encodeRec(recSnapshot, c.captureState())
+		var got bytes.Buffer
+		if err := c.captureState().writeRec(&got, recSnapshot); err != nil {
+			t.Fatal(err)
+		}
+		ref := reference(c)
+		want, err := encodeRec(recSnapshot, ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := encodeRec(recSnapshot, reference(c))
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: streamed capture encodes as\n%x\nstateRec as\n%x", where, got.Bytes(), want)
 		}
-		if string(got) != string(want) {
-			t.Fatalf("%s: view encodes as\n%s\nstateRec as\n%s", where, got, want)
+		kind, p, err := decodeRec(want)
+		if err != nil || kind != recSnapshot {
+			t.Fatalf("%s: decode kind %d: %v", where, kind, err)
+		}
+		if dec := p.(*stateRec); !reflect.DeepEqual(fingerprintState(dec), fingerprintState(ref)) {
+			t.Fatalf("%s: decoded state differs:\n got %+v\nwant %+v", where, fingerprintState(dec), fingerprintState(ref))
 		}
 	}
 	c := New(testOptions(AlgoGreedy))
@@ -540,4 +550,30 @@ func TestStateViewEncodesAsStateRec(t *testing.T) {
 		}
 		same(c, op.name)
 	}
+}
+
+// fingerprintState is a stateRec with its SFCs in their wire form, which
+// compares by value (nil and empty slices alike) under reflect.DeepEqual.
+func fingerprintState(st *stateRec) any {
+	type fp struct {
+		Provisioned bool
+		SFCs        []*p4rt.SFCSpec
+		Live        []liveEntry
+		Placed      []uint32
+		Layout      [][]bool
+		Info        *ProvisionInfo
+	}
+	f := fp{st.Provisioned, nil, nonEmpty(st.Live), nonEmpty(st.Placed), nonEmpty(st.Layout), st.Info}
+	for _, s := range st.SFCs {
+		f.SFCs = append(f.SFCs, p4rt.FromSFC(s))
+	}
+	return f
+}
+
+// nonEmpty maps an empty slice to nil.
+func nonEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }

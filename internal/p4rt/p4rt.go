@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 
 	"sfp/internal/nf"
 	"sfp/internal/pipeline"
@@ -271,52 +270,6 @@ func FromSFC(s *vswitch.SFC) *SFCSpec {
 		spec.NFs = append(spec.NFs, n)
 	}
 	return spec
-}
-
-// AppendSFC appends the wire JSON of FromSFC(s) — what json.Marshal
-// produces for the spec — to b straight from the SFC, allocating nothing
-// but b's growth: a large fleet is encoded without a spec copy of it.
-func AppendSFC(b []byte, s *vswitch.SFC) []byte {
-	b = append(b, '[')
-	b = strconv.AppendUint(b, uint64(s.Tenant), 10)
-	b = append(b, ',')
-	b = strconv.AppendFloat(b, s.BandwidthGbps, 'g', -1, 64)
-	b = append(b, ',', '[')
-	for i, cfg := range s.NFs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, '[')
-		b = appendJSONString(b, cfg.Type.String())
-		b = append(b, ',', '[')
-		for j, r := range cfg.Rules {
-			if j > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, '[')
-			b = strconv.AppendInt(b, int64(r.Priority), 10)
-			b = append(b, ',', '[')
-			for k, m := range r.Matches {
-				if k > 0 {
-					b = append(b, ',')
-				}
-				ms := MatchSpec{Value: m.Value, Mask: m.Mask, PrefixLen: m.PrefixLen, Lo: m.Lo, Hi: m.Hi}
-				b = appendMatch(b, &ms)
-			}
-			b = append(b, ']', ',')
-			b = appendJSONString(b, r.Action)
-			b = append(b, ',', '[')
-			for k, p := range r.Params {
-				if k > 0 {
-					b = append(b, ',')
-				}
-				b = strconv.AppendUint(b, p, 10)
-			}
-			b = append(b, ']', ']')
-		}
-		b = append(b, ']', ']')
-	}
-	return append(b, ']', ']')
 }
 
 // toPlacements converts wire placements to vswitch form.

@@ -66,6 +66,11 @@ type IPOptions struct {
 	TimeLimit time.Duration
 	// MaxNodes bounds the search tree (0 = solver default).
 	MaxNodes int
+	// LPMaxIters caps the simplex pivots of each node LP (0 = the lp
+	// default, which grows with the model). A node LP that reaches it is
+	// dropped unexplored, like one cut off by TimeLimit, but the cut falls
+	// at the same pivot on every host.
+	LPMaxIters int
 	// NoWarmStart disables seeding branch and bound with the greedy
 	// solution. The Fig. 9 experiment sets it to reproduce a cold solver
 	// that returns nothing under the tightest time limits.
@@ -94,10 +99,11 @@ type IPOptions struct {
 
 // exactConsistencyLimit bounds the instance size (Σ_l J_l · K) for which
 // SolveIP uses the exact per-variable Eq. (9) rows. Beyond it, one node LP
-// takes longer than typical time limits (the LP solve is uninterruptible),
-// so the IP-equivalent aggregated rows are used instead: bounds weaken but
-// the warm start and primal heuristics still improve incumbents under the
-// cap — which is all a time-limited solve at that scale can deliver.
+// takes longer than typical time limits (a limit interrupts the LP, which
+// then leaves its node unexplored), so the IP-equivalent aggregated rows
+// are used instead: bounds weaken but the warm start and primal heuristics
+// still improve incumbents under the cap — which is all a time-limited
+// solve at that scale can deliver.
 const exactConsistencyLimit = 2000
 
 // SolveIP solves the placement exactly ("SFP-IP"). For small instances the
@@ -152,6 +158,7 @@ func SolveIP(in *model.Instance, opts IPOptions) (*Result, error) {
 	res, err := ilp.Solve(&ilp.Problem{LP: enc.Prob, IntVars: enc.IntVars}, ilp.Options{
 		TimeLimit:    opts.TimeLimit,
 		MaxNodes:     opts.MaxNodes,
+		LPOpts:       lp.Options{MaxIters: opts.LPMaxIters},
 		PriorityVars: enc.XVars(),
 		CeilVars:     enc.AuxVars(),
 		WarmStart:    warm,

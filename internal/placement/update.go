@@ -337,6 +337,9 @@ type ReplanOptions struct {
 	TimeLimit time.Duration
 	// MaxNodes bounds the search (0 = solver default).
 	MaxNodes int
+	// LPMaxIters caps the simplex pivots of each node LP (0 = the lp
+	// default); see IPOptions.LPMaxIters.
+	LPMaxIters int
 	// FullRebuild forces the reference path: model.Build over every tenant
 	// plus PinPhysical/PinChain, re-encoded from scratch. Equivalent to the
 	// default incremental path (the equivalence suite proves it) but costs
@@ -423,6 +426,7 @@ func (u *Updater) replanFast(opts ReplanOptions, start time.Time) (model.Metrics
 	res, err := ilp.Solve(&ilp.Problem{LP: f.resid.Prob, IntVars: f.resid.IntVars()}, ilp.Options{
 		TimeLimit: opts.TimeLimit,
 		MaxNodes:  opts.MaxNodes,
+		LPOpts:    lp.Options{MaxIters: opts.LPMaxIters},
 		CeilVars:  f.resid.AuxVars(),
 		WarmBasis: wb,
 	})
@@ -503,6 +507,7 @@ func (u *Updater) replanFull(opts ReplanOptions, start time.Time) (model.Metrics
 	res, err := ilp.Solve(&ilp.Problem{LP: enc.Prob, IntVars: enc.IntVars}, ilp.Options{
 		TimeLimit:    opts.TimeLimit,
 		MaxNodes:     opts.MaxNodes,
+		LPOpts:       lp.Options{MaxIters: opts.LPMaxIters},
 		PriorityVars: enc.XVars(),
 		CeilVars:     enc.AuxVars(),
 		WarmBasis:    wb,
@@ -663,10 +668,11 @@ func (u *Updater) MaybeReconfigure(threshold float64, opts ReplanOptions) (bool,
 			wb = u.fullBasis
 		}
 		full, err = SolveIP(in, IPOptions{
-			Build:     u.build,
-			TimeLimit: opts.TimeLimit,
-			MaxNodes:  opts.MaxNodes,
-			WarmBasis: wb,
+			Build:      u.build,
+			TimeLimit:  opts.TimeLimit,
+			MaxNodes:   opts.MaxNodes,
+			LPMaxIters: opts.LPMaxIters,
+			WarmBasis:  wb,
 		})
 		if err != nil {
 			return false, curM, err

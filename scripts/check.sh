@@ -5,12 +5,15 @@
 #   scripts/check.sh         gofmt + vet (this module and the cmd/sfpbench
 #                            module) + build + race tests
 #   scripts/check.sh recover durability suite under -race: WAL corruption
-#                            tests, codec fuzz corpus replay, and the
-#                            kill/restart convergence suite (controller
-#                            killed at every crash point, recovered from
-#                            the journal, reconciled against the surviving
-#                            switch, and required to converge to the
-#                            never-crashed state).
+#                            tests, the kill/restart convergence suite
+#                            (controller killed at every crash point,
+#                            recovered from the journal, reconciled against
+#                            the surviving switch, and required to converge
+#                            to the never-crashed state), recovery of the
+#                            legacy JSON-record journal in testdata, and
+#                            seed-corpus replay of the journal-record
+#                            (internal/core) and codec (internal/p4rt) fuzz
+#                            targets.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +21,9 @@ if [[ "${1:-}" == "recover" ]]; then
     echo "== go test -race (WAL corruption + recovery)"
     go test -race -timeout 5m -v ./internal/wal/
     echo "== go test -race (kill/restart convergence suite)"
-    go test -race -timeout 5m -v -run 'TestRecover|TestJournalFullScenario|TestKillRestartConvergence|TestDepart|TestReconcile|TestReplayDepartManyPartialCommit|TestCrashMidGroupCommitTornTail|TestOffLockSnapshotRotation' ./internal/core/
+    go test -race -timeout 5m -v -run 'TestRecover|TestRecoverLegacyGolden|TestLegacyJournalReencodes|TestJournalFullScenario|TestKillRestartConvergence|TestDepart|TestReconcile|TestReplayDepartManyPartialCommit|TestCrashMidGroupCommitTornTail|TestOffLockSnapshotRotation' ./internal/core/
+    echo "== go test (journal record fuzz corpus replay)"
+    go test -timeout 5m -run 'Fuzz|TestReplayRecordRejectsTruncation' ./internal/core/
     echo "== go test (codec fuzz corpus replay)"
     go test -timeout 5m -run 'Fuzz|TestSkipValueDepthGuard' ./internal/p4rt/
     echo "== recovery checks passed"
